@@ -11,9 +11,7 @@ use somrm_core::uniformization::{moments, MomentSolution, SolverConfig};
 use somrm_ctmc::stationary::stationary_gth;
 use somrm_linalg::{KernelVariant, MatrixFormat};
 use somrm_num::Dd;
-use somrm_obs::{
-    ChromeTraceRecorder, MetricsRegistry, Recorder, RecorderHandle, SolveReport, TraceRecorder,
-};
+use somrm_obs::{ChromeTraceRecorder, MetricsRegistry, Recorder, RecorderHandle, SolveReport};
 use somrm_sim::reward::{estimate_moments, estimate_moments_impulse};
 use somrm_transform::{density_at, TransformConfig};
 use std::fmt::Write as _;
@@ -33,16 +31,10 @@ pub struct CommonOpts {
     /// output with the JSON [`SolveReport`] on stdout; `Some(path)`
     /// writes the JSON to `path` and keeps the human output.
     pub metrics: Option<String>,
-    /// `--trace`: print span open/close lines with timings to stderr
-    /// while the solver runs.
-    pub trace: bool,
     /// `--trace-out`: capture the solve timeline and write it to this
     /// path as Chrome `trace_event` JSON (open in Perfetto or
-    /// `chrome://tracing`). Supersedes `--trace` when both are given.
+    /// `chrome://tracing`).
     pub trace_out: Option<String>,
-    /// `--progress`: print a throttled `k/G` heartbeat with ETA to
-    /// stderr during long recursions.
-    pub progress: bool,
     /// `--format`: iteration-matrix storage (`auto` detects banded
     /// structure and promotes to DIA; `csr`/`dia` force a format).
     pub format: MatrixFormat,
@@ -65,9 +57,7 @@ impl Default for CommonOpts {
             epsilon: 1e-9,
             threads: 1,
             metrics: None,
-            trace: false,
             trace_out: None,
-            progress: false,
             format: MatrixFormat::Auto,
             kernel: KernelVariant::from_env(),
             events_out: None,
@@ -94,8 +84,7 @@ impl Telemetry {
 impl CommonOpts {
     /// Builds the telemetry for one command invocation. A `--trace-out`
     /// run captures the timeline with [`ChromeTraceRecorder`] (which
-    /// also aggregates, so `--metrics` composes with it); a `--trace`
-    /// run uses the live [`TraceRecorder`] (likewise aggregating); a
+    /// also aggregates, so `--metrics` composes with it); a
     /// `--metrics`-only run aggregates silently; otherwise recording is
     /// disabled and the solver pays a single predictable branch per
     /// instrumentation point.
@@ -105,11 +94,6 @@ impl CommonOpts {
             Telemetry {
                 rec: RecorderHandle::new(chrome.clone() as Arc<dyn Recorder>),
                 chrome: Some((chrome, path.clone())),
-            }
-        } else if self.trace {
-            Telemetry {
-                rec: RecorderHandle::new(Arc::new(TraceRecorder::new()) as Arc<dyn Recorder>),
-                chrome: None,
             }
         } else if self.metrics.is_some() {
             Telemetry {
@@ -151,7 +135,6 @@ impl CommonOpts {
             kernel: self.kernel,
             recorder: rec.clone(),
             events: self.events_handle()?,
-            progress: self.progress,
             ..SolverConfig::default()
         })
     }
@@ -1255,6 +1238,50 @@ mod tests {
         };
         let err = cmd_serve(8, None, &tel, &CommonOpts::default()).unwrap_err();
         assert!(err.contains("--stats-out -"), "{err}");
+    }
+
+    #[test]
+    fn serve_answers_the_request_after_an_unallocatable_inline_model() {
+        // Regression: an inline model declaring more states than memory
+        // can hold used to panic (or abort) inside the parser and take
+        // the server down, so the next request never got an answer.
+        let input = concat!(
+            r#"{"id":1,"model":"states 18446744073709551615","t":1.0}"#,
+            "\n",
+            r#"{"id":2,"model":"states 1000000000000","t":1.0}"#,
+            "\n",
+            r#"{"id":3,"model":"states 2\nrate 0 1 1.0\nrate 1 0 2.0\nreward 1 3.0 1.0","#,
+            r#""t":1.0,"order":2}"#,
+            "\n",
+        );
+        let mut out = Vec::new();
+        somrm_serve::serve(
+            std::io::Cursor::new(input),
+            &mut out,
+            &resolve_model_spec,
+            &somrm_serve::ServeOptions::default(),
+        )
+        .unwrap();
+        let lines: Vec<somrm_obs::json::Value> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| somrm_obs::json::parse(l).expect("valid response JSON"))
+            .collect();
+        assert_eq!(lines.len(), 3, "every request answers");
+        for bad in &lines[..2] {
+            assert_eq!(bad.get("ok"), Some(&somrm_obs::json::Value::Bool(false)));
+            let err = bad.get("error").and_then(|e| e.as_str()).unwrap();
+            assert!(err.contains("cannot allocate"), "{err}");
+        }
+        let good = &lines[2];
+        assert_eq!(good.get("id").and_then(|i| i.as_f64()), Some(3.0));
+        assert_eq!(good.get("ok"), Some(&somrm_obs::json::Value::Bool(true)));
+        let moments = good.get("results").unwrap().as_array().unwrap()[0]
+            .get("moments")
+            .unwrap()
+            .as_array()
+            .unwrap();
+        assert_eq!(moments.len(), 3);
     }
 
     #[test]

@@ -19,6 +19,5 @@
 //! init   0 1.0          # initial probability mass (must sum to 1)
 //! ```
 
-pub mod bench;
 pub mod commands;
 pub mod format;

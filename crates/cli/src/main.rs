@@ -9,8 +9,6 @@
 //! somrm-tool simulate <model-file> [--t T] [--order N] [--samples K] [--seed S]
 //! somrm-tool density  <model-file> [--t T] [--points K]
 //! somrm-tool verify   [--cases N] [--seed S] [--out-dir DIR] [--metrics DEST]
-//! somrm-tool bench    [--quick] [--out PATH] [--threads N] [--kernel K]
-//! somrm-tool bench    --compare OLD NEW [--threshold PCT] [--warn-only]
 //! somrm-tool serve    [--cache-size N] [--cache-bytes B] [--threads N] [--eps E] [--metrics PATH]
 //!                     [--stats-out PATH] [--stats-format json|prom]
 //!                     [--slow-trace-dir DIR] [--slow-ms T]
@@ -27,8 +25,6 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: somrm-tool <check|moments|bounds|simulate|density|sweep> <model-file> [options]
        somrm-tool verify [--cases N] [--seed S] [--out-dir DIR] [--metrics DEST]
-       somrm-tool bench [--quick] [--out PATH] [--threads N] [--kernel K]
-       somrm-tool bench --compare OLD NEW [--threshold PCT] [--warn-only]
        somrm-tool serve [--cache-size N] [--cache-bytes B] [--threads N] [--eps E]
                         [--metrics PATH]
                         [--stats-out PATH] [--stats-format json|prom]
@@ -58,10 +54,8 @@ options:
                   truncation bound)
   --metrics DEST  emit the JSON solve report; DEST '-' replaces the
                   normal output on stdout, anything else is a file path
-  --trace         print solver stage timings to stderr as they happen
   --trace-out P   write the solve timeline to P as Chrome trace_event
                   JSON (open in Perfetto / chrome://tracing)
-  --progress      print a throttled k/G heartbeat with ETA to stderr
   --events-out P  stream the typed solve event log (JSONL, schema
                   somrm-events-v1: solve.start, plan.resolved,
                   truncation, health, progress with ETA, complete) to P
@@ -74,15 +68,6 @@ verify options:
   --out-dir DIR   write shrunken reproducer JSON files here on failure
   --metrics DEST  emit per-case solve timings and check counters as a
                   JSON report ('-' or file path, as above)
-
-bench options:
-  --quick         drop the 100k- and 2M-state rungs (debug/CI tier)
-  --out PATH      bench document destination (default BENCH_solver.json)
-  --threads N     solver worker threads for the ladder (default 1)
-  --kernel K      kernel variant for the ladder: auto|scalar|simd
-  --compare A B   compare two bench documents instead of running
-  --threshold P   regression threshold, percent (default 10)
-  --warn-only     report regressions without failing the comparison
 
 serve options (JSON-lines requests on stdin, responses on stdout,
 summary on stderr; see the somrm-serve crate docs for the protocol;
@@ -161,26 +146,6 @@ fn run() -> Result<String, String> {
             opt_flag(&args, "--metrics")?,
         );
     }
-    // `bench` runs a fixed model ladder, so it takes no model file.
-    if args.first().map(String::as_str) == Some("bench") {
-        if let Some(i) = args.iter().position(|a| a == "--compare") {
-            let (Some(old), Some(new)) = (args.get(i + 1), args.get(i + 2)) else {
-                return Err("--compare needs two bench files: OLD NEW".to_string());
-            };
-            return somrm_cli::bench::cmd_bench_compare(
-                old,
-                new,
-                flag(&args, "--threshold", 10.0f64)?,
-                switch(&args, "--warn-only"),
-            );
-        }
-        return somrm_cli::bench::cmd_bench_run(
-            switch(&args, "--quick"),
-            &opt_flag(&args, "--out")?.unwrap_or_else(|| "BENCH_solver.json".to_string()),
-            flag(&args, "--threads", 1usize)?,
-            flag(&args, "--kernel", KernelVariant::from_env())?,
-        );
-    }
     // `serve` reads models from its request stream, not from argv.
     if args.first().map(String::as_str) == Some("serve") {
         let opts = CommonOpts {
@@ -228,9 +193,7 @@ fn run() -> Result<String, String> {
         epsilon: flag(&args, "--eps", 1e-9)?,
         threads: flag(&args, "--threads", 1usize)?,
         metrics: opt_flag(&args, "--metrics")?,
-        trace: switch(&args, "--trace"),
         trace_out: opt_flag(&args, "--trace-out")?,
-        progress: switch(&args, "--progress"),
         format: flag(&args, "--format", MatrixFormat::Auto)?,
         kernel: flag(&args, "--kernel", KernelVariant::from_env())?,
         events_out: opt_flag(&args, "--events-out")?,

@@ -43,7 +43,7 @@ use somrm_linalg::IterationMatrix;
 use somrm_num::poisson::{self, PoissonWindow};
 use somrm_num::special::ln_factorial;
 use somrm_num::sum::NeumaierSum;
-use somrm_obs::{HealthMonitor, ProgressMeter, SolveReport, SolverSection};
+use somrm_obs::{HealthMonitor, SolveReport, SolverSection};
 use std::sync::Arc;
 
 /// A second-order Markov reward model extended with deterministic
@@ -246,9 +246,6 @@ pub fn moments_with_impulse(
     let mut scratch2 = vec![0.0f64; n_states];
 
     let mut health = rec.enabled().then(|| HealthMonitor::new(g_limit, order));
-    let mut meter = config
-        .progress
-        .then(|| ProgressMeter::new("solve.recursion", g_limit));
     let recursion = rec.span("solve.recursion");
     for k in 0..=g_limit {
         let wk = window.as_ref().map_or(0.0, |w| w.weight(k));
@@ -265,9 +262,6 @@ pub fn moments_with_impulse(
                     h.observe_order(j, uj);
                 }
             }
-        }
-        if let Some(m) = meter.as_mut() {
-            m.tick(k);
         }
         if k == g_limit {
             break;

@@ -45,7 +45,7 @@ use somrm_linalg::{
 use somrm_num::poisson::PoissonWindow;
 use somrm_num::special::{binomial, ln_factorial};
 use somrm_obs::{
-    Event, HealthMonitor, MemCategory, MemLedger, PoissonStat, ProgressMeter, SolveReport,
+    Event, HealthMonitor, MemCategory, MemLedger, PoissonStat, SolveReport,
     SolverSection,
 };
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -533,9 +533,6 @@ impl SolvePlan {
         // runs whenever either sink is attached (it only reads).
         let mut health =
             (rec.enabled() || ev.enabled()).then(|| HealthMonitor::new(g_limit, order));
-        let mut meter = config
-            .progress
-            .then(|| ProgressMeter::new("solve.recursion", g_limit));
         // Progress events fire every ~5% of G (stride floor 1) plus the
         // final iteration; the ETA is read off a wall clock only when a
         // record is actually emitted, so the recursion arithmetic is
@@ -582,9 +579,6 @@ impl SolvePlan {
                             eta_s,
                         });
                     }
-                }
-                if let Some(m) = meter.as_mut() {
-                    m.tick(k);
                 }
             }
         }
@@ -850,9 +844,6 @@ impl SolvePlan {
         }
         let mut health =
             (rec.enabled() || ev.enabled()).then(|| HealthMonitor::new(g_limit, order));
-        let mut meter = config
-            .progress
-            .then(|| ProgressMeter::new("solve.recursion", g_limit));
         let ev_progress = ev
             .enabled()
             .then(|| (Instant::now(), (g_limit / 20).max(1)));
@@ -890,9 +881,6 @@ impl SolvePlan {
                             eta_s,
                         });
                     }
-                }
-                if let Some(m) = meter.as_mut() {
-                    m.tick(k);
                 }
             }
         }

@@ -7,6 +7,9 @@
 //! These properties fuzz that claim over random birth–death and
 //! Kronecker-sum models, across moment orders 0–5, worker-pool sizes
 //! 1/2/4, and both query paths (multi-time sweep and terminal-weighted).
+//! Birth–death sweeps also run the banded `Dia` format, which owes the
+//! same bitwise agreement; every pair must report the same truncation
+//! point `G` (`stats.iterations`).
 
 use proptest::prelude::*;
 use somrm_core::model::SecondOrderMrm;
@@ -127,6 +130,7 @@ fn config(format: MatrixFormat, threads: usize) -> SolverConfig {
 
 fn assert_bitwise(tag: &str, a: &MomentSolution, b: &MomentSolution) {
     assert_eq!(a.weighted.len(), b.weighted.len(), "{tag}: order mismatch");
+    assert_eq!(a.stats.iterations, b.stats.iterations, "{tag}: iterations");
     for n in 0..a.weighted.len() {
         assert_eq!(
             a.weighted[n].to_bits(),
@@ -165,8 +169,11 @@ proptest! {
             .unwrap();
         let op = moments_sweep(&model, order, &times, &config(MatrixFormat::Operator, threads))
             .unwrap();
-        for (a, b) in csr.iter().zip(&op) {
+        let dia = moments_sweep(&model, order, &times, &config(MatrixFormat::Dia, threads))
+            .unwrap();
+        for ((a, b), c) in csr.iter().zip(&op).zip(&dia) {
             assert_bitwise("bd sweep", a, b);
+            assert_bitwise("bd sweep dia", a, c);
         }
 
         // Terminal-weighted path with a deterministic pseudo-random 0/1

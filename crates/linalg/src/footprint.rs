@@ -142,6 +142,10 @@ mod tests {
         let csr_bytes =
             (n + 1) * size_of::<usize>() + nnz * size_of::<usize>() + nnz * size_of::<f64>();
         let dia_bytes = 3 * size_of::<isize>() + 3 * n * size_of::<f64>();
+        assert!(
+            op_bytes < dia_bytes && op_bytes < csr_bytes,
+            "operator {op_bytes}B should undercut DIA {dia_bytes}B and CSR {csr_bytes}B"
+        );
         let pipeline_bytes = csr_bytes + dia_bytes;
         assert!(
             2 * op_bytes <= pipeline_bytes,
