@@ -24,19 +24,25 @@
 //!
 //! # Bitwise contract
 //!
-//! `SolvePlan::build(m, n, c)?.execute(ts, n)` returns results
+//! `SolvePlan::build(m, n, c)?.execute_per_state(ts, n)` returns results
 //! bit-identical to `moments_sweep(m, n, ts, c)` (which is nowadays a
 //! thin wrapper over exactly that), for every matrix format and thread
-//! count, on first and on repeated executes. The verify crate enforces
-//! this as an oracle arm.
+//! count, on first and on repeated executes.
+//!
+//! The projected [`SolvePlan::execute`] (π-weighted moments only, no
+//! per-state accumulators) sums the same series in a different order, so
+//! it matches the per-state path to rounding, not bitwise. Within a
+//! kernel variant it is bit-identical across matrix formats, thread
+//! counts, and warm or cold plans. The verify crate enforces both
+//! contracts as oracle arms (`rnd-plan`, `rnd-plan-warm`, `rnd-proj`).
 
 use crate::error::MrmError;
 use crate::model::SecondOrderMrm;
 use crate::terminal::terminal_truncation;
 use crate::uniformization::{
-    attach_degenerate_report, deterministic_solution, frozen_chain_solution, pool_section,
-    poisson_accounting, truncation_point, unshift_moments, validate_times, MomentSolution,
-    SolverConfig, SolverStats,
+    attach_degenerate_report, deterministic_solution, frozen_chain_solution, poisson_accounting,
+    pool_section, truncation_point, unshift_moments, unshift_weighted, validate_times,
+    MomentSolution, SolverConfig, SolverStats,
 };
 use somrm_linalg::{
     FootprintBytes, FusedMomentKernel, IterationMatrix, LinalgError, MatrixFormat,
@@ -44,6 +50,7 @@ use somrm_linalg::{
 };
 use somrm_num::poisson::PoissonWindow;
 use somrm_num::special::{binomial, ln_factorial};
+use somrm_num::sum::NeumaierSum;
 use somrm_obs::{
     Event, HealthMonitor, MemCategory, MemLedger, PoissonStat, SolveReport,
     SolverSection,
@@ -372,15 +379,52 @@ impl SolvePlan {
             .map(|m| m.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
     }
 
-    /// Moments at several time points in one pass of the `U`-recursion —
-    /// the per-query half of [`crate::uniformization::moments_sweep`],
-    /// bit-identical to a cold call.
+    /// π-weighted moments at several time points in one pass of the
+    /// `U`-recursion, *projected*: each pass records only the scalars
+    /// `c⁽ʲ⁾(k) = π·U⁽ʲ⁾(k)`, and `π·V⁽ʲ⁾(t) = j!·dʲ·Σ_k w_k(t)·c⁽ʲ⁾(k)`
+    /// is summed per time point in `times × (order+1)` compensated
+    /// scalars — no per-state accumulators. The returned solutions carry
+    /// `weighted` only; their `per_state` is empty (use
+    /// [`SolvePlan::execute_per_state`] for conditional moments).
+    ///
+    /// `weighted` agrees with the per-state path to rounding, not
+    /// bitwise, and is bit-identical across storage formats, thread
+    /// counts, and warm or cold plans within a kernel variant.
     ///
     /// # Errors
     ///
     /// Returns [`MrmError::InvalidParameter`] for a negative/non-finite
     /// time, `order > max_order`, or if the iteration cap is exceeded.
     pub fn execute(&self, times: &[f64], order: usize) -> Result<Vec<MomentSolution>, MrmError> {
+        self.sweep(times, order, true)
+    }
+
+    /// Moments at several time points in one pass of the `U`-recursion,
+    /// per initial state (`per_state[j][i] = E[Bʲ(t) | Z(0) = i]`) and
+    /// π-weighted — the per-query half of
+    /// [`crate::uniformization::moments_sweep`], bit-identical to a cold
+    /// call. Costs `times·(order+1)·n` compensated accumulators on top of
+    /// [`SolvePlan::execute`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SolvePlan::execute`].
+    pub fn execute_per_state(
+        &self,
+        times: &[f64],
+        order: usize,
+    ) -> Result<Vec<MomentSolution>, MrmError> {
+        self.sweep(times, order, false)
+    }
+
+    /// The shared sweep of [`SolvePlan::execute`] (`projected`) and
+    /// [`SolvePlan::execute_per_state`].
+    fn sweep(
+        &self,
+        times: &[f64],
+        order: usize,
+        projected: bool,
+    ) -> Result<Vec<MomentSolution>, MrmError> {
         self.check_order(order)?;
         validate_times(times)?;
         if times.is_empty() {
@@ -404,11 +448,17 @@ impl SolvePlan {
                 n_times: times.len() as u64,
             });
         }
+        let strip = |mut s: MomentSolution| {
+            if projected {
+                s.per_state = Vec::new();
+            }
+            s
+        };
 
         if q == 0.0 {
             let mut solutions: Vec<MomentSolution> = times
                 .iter()
-                .map(|&t| frozen_chain_solution(model, order, t))
+                .map(|&t| strip(frozen_chain_solution(model, order, t)))
                 .collect();
             attach_degenerate_report(&mut solutions, model, config, order, 0.0, 0.0, 0.0);
             if ev.enabled() {
@@ -422,7 +472,7 @@ impl SolvePlan {
         if d == 0.0 {
             let mut solutions: Vec<MomentSolution> = times
                 .iter()
-                .map(|&t| deterministic_solution(model, order, t, shift))
+                .map(|&t| strip(deterministic_solution(model, order, t, shift)))
                 .collect();
             attach_degenerate_report(&mut solutions, model, config, order, q, 0.0, shift);
             if ev.enabled() {
@@ -515,20 +565,36 @@ impl SolvePlan {
             &pk.r_prime,
             &pk.s_half,
             order,
-            times.len(),
+            if projected { 0 } else { times.len() },
             &u0,
             pool_guard.as_deref_mut(),
         );
         kernel.set_variant(variant);
         kernel.set_recorder(rec.clone());
-        if let Some(ledger) = &self.mem {
-            let kernel_bytes = kernel.footprint_bytes() as u64;
-            ledger.set(MemCategory::KernelBuffers, kernel_bytes);
-            rec.gauge_set(
-                MemCategory::KernelBuffers.gauge_name(),
-                kernel_bytes as f64,
-            );
-        }
+        let record_kernel_bytes = |kernel: &FusedMomentKernel| {
+            if let Some(ledger) = &self.mem {
+                let kernel_bytes = kernel.footprint_bytes() as u64;
+                ledger.set(MemCategory::KernelBuffers, kernel_bytes);
+                rec.gauge_set(MemCategory::KernelBuffers.gauge_name(), kernel_bytes as f64);
+            }
+        };
+        record_kernel_bytes(&kernel);
+        // Projected: `sums[ti·(order+1) + j]` accumulates Σ_k w_k·c⁽ʲ⁾(k).
+        // π is attached at the first iteration any time point weighs
+        // (the leftmost Poisson window edge); the passes before it only
+        // advance.
+        let sums_len = if projected {
+            times.len() * (order + 1)
+        } else {
+            0
+        };
+        let mut sums = vec![NeumaierSum::new(); sums_len];
+        let project_from = windows
+            .iter()
+            .flatten()
+            .map(PoissonWindow::left)
+            .min()
+            .filter(|_| projected);
         // The monitor also feeds the event log's health records, so it
         // runs whenever either sink is attached (it only reads).
         let mut health =
@@ -551,7 +617,23 @@ impl SolvePlan {
                         active.push((ti, wk));
                     }
                 }
-                kernel.step(&active, k < g_limit);
+                if projected {
+                    if project_from == Some(k) {
+                        kernel.set_projection(model.initial());
+                        record_kernel_bytes(&kernel);
+                    }
+                    // `projected()` is π·U(k) here; the step advances
+                    // it to π·U(k+1).
+                    for &(ti, wk) in &active {
+                        let c = kernel.projected();
+                        for (sum, &cj) in sums[ti * (order + 1)..].iter_mut().zip(c) {
+                            sum.add(wk * cj);
+                        }
+                    }
+                    kernel.step(&[], k < g_limit);
+                } else {
+                    kernel.step(&active, k < g_limit);
+                }
                 if let Some(h) = health.as_mut() {
                     if h.should_sample(k, g_limit) {
                         for j in 0..=order {
@@ -586,10 +668,16 @@ impl SolvePlan {
             ledger.observe_rss();
         }
         if let Some(h) = health.as_mut() {
-            for ti in 0..times.len() {
-                for j in 0..=order {
-                    for a in kernel.accumulated(ti, j) {
-                        h.observe_compensation(a.raw_sum(), a.compensation());
+            if projected {
+                for a in &sums {
+                    h.observe_compensation(a.raw_sum(), a.compensation());
+                }
+            } else {
+                for ti in 0..times.len() {
+                    for j in 0..=order {
+                        for a in kernel.accumulated(ti, j) {
+                            h.observe_compensation(a.raw_sum(), a.compensation());
+                        }
                     }
                 }
             }
@@ -607,6 +695,35 @@ impl SolvePlan {
                 .iter()
                 .enumerate()
                 .map(|(ti, &t)| {
+                    if projected {
+                        let weighted = if t == 0.0 {
+                            // Same arithmetic as weighting the per-state
+                            // δ-moments below.
+                            (0..=order)
+                                .map(|j| {
+                                    let v = if j == 0 { 1.0 } else { 0.0 };
+                                    model.initial().iter().map(|&p| v * p).sum()
+                                })
+                                .collect()
+                        } else {
+                            let shifted: Vec<f64> = sums[ti * (order + 1)..][..=order]
+                                .iter()
+                                .enumerate()
+                                .map(|(j, a)| {
+                                    (ln_factorial(j as u64) + j as f64 * d.ln()).exp() * a.value()
+                                })
+                                .collect();
+                            unshift_weighted(&shifted, shift, t)
+                        };
+                        return MomentSolution {
+                            t,
+                            per_state: Vec::new(),
+                            weighted,
+                            stats,
+                            error_bounds: error_bounds.clone(),
+                            report: None,
+                        };
+                    }
                     let shifted_moments: Vec<Vec<f64>> = if t == 0.0 {
                         (0..=order)
                             .map(|j| vec![if j == 0 { 1.0 } else { 0.0 }; n_states])
@@ -724,7 +841,7 @@ impl SolvePlan {
         if q == 0.0 || t == 0.0 {
             // Frozen chain / zero horizon: w_{Z(t)} = w_{Z(0)}.
             let plain = self
-                .execute(&[t], order)?
+                .execute_per_state(&[t], order)?
                 .pop()
                 .expect("one time point requested");
             let per_state: Vec<Vec<f64>> = (0..=order)
@@ -756,7 +873,7 @@ impl SolvePlan {
         let config = &self.config;
         let rec = &config.recorder;
         // Mirrors `execute`'s outer span (the q = 0 / t = 0 paths above
-        // delegate to `execute` and are covered by its span).
+        // delegate to `execute_per_state` and are covered by its span).
         let _execute = rec.span("plan.execute_terminal");
         rec.counter_add("plan.executes", 1);
         let ev = &config.events;
@@ -1054,8 +1171,8 @@ mod tests {
         let m = chain(5);
         let plan = SolvePlan::build(&m, 3, &SolverConfig::default()).unwrap();
         let times = [0.2, 0.9];
-        let first = plan.execute(&times, 3).unwrap();
-        let second = plan.execute(&times, 3).unwrap();
+        let first = plan.execute_per_state(&times, 3).unwrap();
+        let second = plan.execute_per_state(&times, 3).unwrap();
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.weighted, b.weighted);
             assert_eq!(a.per_state, b.per_state);
@@ -1065,6 +1182,16 @@ mod tests {
         let cold = moments_sweep(&m, 3, &times, &SolverConfig::default()).unwrap();
         for (a, b) in first.iter().zip(&cold) {
             assert_eq!(a.weighted, b.weighted);
+            assert_eq!(a.per_state, b.per_state);
+        }
+        // The projected path is stable too, and carries no per-state
+        // vectors.
+        let p1 = plan.execute(&times, 3).unwrap();
+        let p2 = plan.execute(&times, 3).unwrap();
+        for (a, b) in p1.iter().zip(&p2) {
+            assert_eq!(a.weighted, b.weighted);
+            assert_eq!(a.error_bounds, b.error_bounds);
+            assert!(a.per_state.is_empty());
         }
     }
 
@@ -1072,10 +1199,15 @@ mod tests {
     fn lower_orders_run_on_a_higher_order_plan() {
         let m = chain(4);
         let plan = SolvePlan::build(&m, 4, &SolverConfig::default()).unwrap();
-        let via_plan = plan.execute(&[0.7], 2).unwrap();
+        let via_plan = plan.execute_per_state(&[0.7], 2).unwrap();
         let cold = moments(&m, 2, 0.7, &SolverConfig::default()).unwrap();
         assert_eq!(via_plan[0].weighted, cold.weighted);
+        assert_eq!(plan.execute(&[0.7], 2).unwrap()[0].weighted.len(), 3);
         assert!(plan.execute(&[0.7], 5).is_err(), "above max_order");
+        assert!(
+            plan.execute_per_state(&[0.7], 5).is_err(),
+            "above max_order"
+        );
     }
 
     #[test]
@@ -1093,6 +1225,46 @@ mod tests {
         let sol = plan.execute(&[1.0], 2).unwrap();
         let cold = moments(&frozen, 2, 1.0, &SolverConfig::default()).unwrap();
         assert_eq!(sol[0].weighted, cold.weighted);
+        assert!(
+            sol[0].per_state.is_empty(),
+            "execute never returns per-state vectors"
+        );
+        assert_eq!(
+            plan.execute_per_state(&[1.0], 2).unwrap()[0].per_state,
+            cold.per_state
+        );
+    }
+
+    #[test]
+    fn terminal_degenerate_paths_answer_per_state() {
+        // A frozen chain (q = 0) and a zero horizon both take the
+        // w_{Z(t)} = w_{Z(0)} shortcut, which weights per-state moments.
+        let b = GeneratorBuilder::new(2);
+        let frozen = SecondOrderMrm::new(
+            b.build().unwrap(),
+            vec![1.0, -1.0],
+            vec![0.5, 0.0],
+            vec![0.5, 0.5],
+        )
+        .unwrap();
+        let w = [2.0, 0.5];
+        let plan = SolvePlan::build(&frozen, 2, &SolverConfig::default()).unwrap();
+        let sol = plan.execute_terminal(1.0, &w, 2).unwrap();
+        let plain = moments(&frozen, 2, 1.0, &SolverConfig::default()).unwrap();
+        for n in 0..=2 {
+            for i in 0..2 {
+                assert_eq!(sol.per_state[n][i], plain.per_state[n][i] * w[i]);
+            }
+        }
+        assert_eq!(sol.weighted[0], 0.5 * 2.0 + 0.5 * 0.5);
+
+        let m = chain(3);
+        let w = [1.0, 0.0, 3.0];
+        let plan = SolvePlan::build(&m, 2, &SolverConfig::default()).unwrap();
+        let sol = plan.execute_terminal(0.0, &w, 2).unwrap();
+        assert_eq!(sol.per_state[0], w.to_vec());
+        assert_eq!(sol.per_state[1], vec![0.0; 3]);
+        assert_eq!(sol.weighted, vec![1.0, 0.0, 0.0], "π = δ₀ and w₀ = 1");
     }
 
     #[test]
@@ -1140,12 +1312,21 @@ mod tests {
         let op = SolvePlan::build(&m, 3, &op_cfg).unwrap();
         assert_eq!(op.matrix_format_name(), "operator");
         let times = [0.3, 1.1];
-        let a = csr.execute(&times, 3).unwrap();
-        let b = op.execute(&times, 3).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.weighted, y.weighted);
-            assert_eq!(x.per_state, y.per_state);
-            assert_eq!(x.error_bounds, y.error_bounds);
+        for (a, b) in [
+            (
+                csr.execute(&times, 3).unwrap(),
+                op.execute(&times, 3).unwrap(),
+            ),
+            (
+                csr.execute_per_state(&times, 3).unwrap(),
+                op.execute_per_state(&times, 3).unwrap(),
+            ),
+        ] {
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.weighted, y.weighted);
+                assert_eq!(x.per_state, y.per_state);
+                assert_eq!(x.error_bounds, y.error_bounds);
+            }
         }
         let w = [1.0, 0.0, 0.0, 0.0, 0.0, 2.0];
         let ta = csr.execute_terminal(0.7, &w, 3).unwrap();
@@ -1267,7 +1448,6 @@ mod tests {
         let b = logged.execute(&times, 2).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.weighted, y.weighted, "event log must not perturb results");
-            assert_eq!(x.per_state, y.per_state);
         }
 
         let events = Event::parse_lines(&sink.contents()).expect("strict parse");
@@ -1325,6 +1505,13 @@ mod tests {
         let t_events = Event::parse_lines(&t_sink.contents()).expect("terminal log parses");
         assert!(matches!(t_events[0], Event::SolveStart { n_times: 1, .. }));
         assert!(matches!(t_events.last(), Some(Event::Complete { .. })));
+
+        let a = bare.execute_per_state(&times, 2).unwrap();
+        let b = logged.execute_per_state(&times, 2).unwrap();
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.weighted, y.weighted, "event log must not perturb results");
+            assert_eq!(x.per_state, y.per_state);
+        }
     }
 
     #[test]
@@ -1396,10 +1583,22 @@ mod tests {
             "R' and S'/2 diagonals"
         );
         // Kernel buffers appear after an execute, matching the fused
-        // kernel's exact footprint, and flow to the recorder gauges.
-        plan.execute(&[0.5], 2).unwrap();
+        // kernel's exact footprint, and flow to the recorder gauges. The
+        // projected execute holds the U ping-pong pair plus one dot
+        // partial per order and 2048-row block; the per-state one adds
+        // a compensated accumulator per state, order and time.
+        let (order1, n_times) = (3, 2);
+        plan.execute_per_state(&[0.5, 0.7], 2).unwrap();
+        assert_eq!(
+            ledger.current(MemCategory::KernelBuffers),
+            (2 * order1 * n * 8 + n_times * order1 * n * 16) as u64
+        );
+        plan.execute(&[0.5, 0.7], 2).unwrap();
         let kb = ledger.current(MemCategory::KernelBuffers);
-        assert!(kb > 0);
+        assert_eq!(
+            kb,
+            (2 * order1 * n * 8 + order1 * n.div_ceil(2048) * 8) as u64
+        );
         let snap = reg.snapshot();
         assert_eq!(snap.gauge("mem.kernel.buffers"), Some(kb as f64));
         assert_eq!(

@@ -191,6 +191,9 @@ pub struct MomentSolution {
     /// The time of accumulation `t`.
     pub t: f64,
     /// `per_state[n][i] = E[Bⁿ(t) | Z(0) = i]` for `n = 0 ..= order`.
+    /// Empty for solutions of the projected
+    /// [`crate::plan::SolvePlan::execute`], which computes only
+    /// `weighted`; every other solver fills it.
     pub per_state: Vec<Vec<f64>>,
     /// `weighted[n] = π · V⁽ⁿ⁾(t)`, the moments from the model's initial
     /// distribution.
@@ -377,15 +380,16 @@ pub fn moments(
 /// This is a thin wrapper over the plan/execute split: it builds a
 /// one-shot [`crate::plan::SolvePlan`] and executes it once. A caller
 /// that re-solves the same model should build the plan once and call
-/// [`crate::plan::SolvePlan::execute`] per query — the results are
-/// bit-identical either way.
+/// [`crate::plan::SolvePlan::execute_per_state`] per query — the results
+/// are bit-identical either way — or, when only the π-weighted moments
+/// are needed, the cheaper projected [`crate::plan::SolvePlan::execute`].
 pub fn moments_sweep(
     model: &SecondOrderMrm,
     order: usize,
     times: &[f64],
     config: &SolverConfig,
 ) -> Result<Vec<MomentSolution>, MrmError> {
-    crate::plan::SolvePlan::build(model, order, config)?.execute(times, order)
+    crate::plan::SolvePlan::build(model, order, config)?.execute_per_state(times, order)
 }
 
 /// Per-time-point weight accounting for the report: how many series
@@ -676,20 +680,31 @@ pub(crate) fn unshift_moments(shifted: &[Vec<f64>], shift: f64, t: f64) -> Vec<V
     (0..=order)
         .map(|n| {
             (0..n_states)
-                .map(|i| {
-                    let mut acc = NeumaierSum::new();
-                    for j in 0..=n {
-                        acc.add(
-                            binomial(n as u32, j as u32)
-                                * c.powi((n - j) as i32)
-                                * shifted[j][i],
-                        );
-                    }
-                    acc.value()
-                })
+                .map(|i| unshift_one(n, c, |j| shifted[j][i]))
                 .collect()
         })
         .collect()
+}
+
+/// [`unshift_moments`] for one π-weighted moment vector
+/// (`shifted[j] = π·V̌⁽ʲ⁾`).
+pub(crate) fn unshift_weighted(shifted: &[f64], shift: f64, t: f64) -> Vec<f64> {
+    if shift == 0.0 {
+        return shifted.to_vec();
+    }
+    let c = shift * t;
+    (0..shifted.len())
+        .map(|n| unshift_one(n, c, |j| shifted[j]))
+        .collect()
+}
+
+/// `Σ_{j≤n} C(n,j)·c^{n−j}·shifted(j)`, compensated.
+fn unshift_one(n: usize, c: f64, shifted: impl Fn(usize) -> f64) -> f64 {
+    let mut acc = NeumaierSum::new();
+    for j in 0..=n {
+        acc.add(binomial(n as u32, j as u32) * c.powi((n - j) as i32) * shifted(j));
+    }
+    acc.value()
 }
 
 #[cfg(test)]

@@ -41,6 +41,19 @@
 //! stores are exact), and its fma rows the identical canonical
 //! `mul_add` chain with the combine applied via [`simd::axpy_fma`].
 //!
+//! # Projection
+//!
+//! A solver that only needs `π·V⁽ʲ⁾(t)` attaches `π` with
+//! [`FusedMomentKernel::set_projection`] and runs with no time points:
+//! each advancing pass then also records the scalars
+//! `c⁽ʲ⁾ = π·U⁽ʲ⁾(k+1)` ([`FusedMomentKernel::projected`]), computed from
+//! each freshly written `U_{k+1}` block while it is still in cache. The
+//! dot is split into fixed, globally aligned `SIMD_BLOCK`-row partials
+//! (each a [`simd::dot`]) that are reduced in ascending block order
+//! after the pass, and a projecting kernel cuts its chunks on block
+//! multiples, so every block partial comes from one thread and `c⁽ʲ⁾` is
+//! bit-identical across thread counts and storage formats.
+//!
 //! # Kernel variants
 //!
 //! The pass body comes in two arithmetic variants
@@ -103,7 +116,8 @@ enum KernelPool<'a> {
 /// Fused recursion + accumulation kernel over a persistent worker pool.
 ///
 /// Layout: `U` vectors are flattened as `u[j·n + i]`; accumulators as
-/// `acc[(ti·(order+1) + j)·n + i]`.
+/// `acc[(ti·(order+1) + j)·n + i]`; projection partials as
+/// `partials[b·(order+1) + j]` for row block `b`.
 #[derive(Debug)]
 pub struct FusedMomentKernel<'a> {
     matrix: &'a IterationMatrix,
@@ -118,6 +132,11 @@ pub struct FusedMomentKernel<'a> {
     u_cur: Vec<f64>,
     u_next: Vec<f64>,
     acc: Vec<NeumaierSum>,
+    /// The projection vector `π`, when attached.
+    projection: Option<&'a [f64]>,
+    /// Per-block dot partials; the first `order + 1` entries hold the
+    /// reduced `π·U⁽ʲ⁾` of the current iterate.
+    partials: Vec<f64>,
     recorder: RecorderHandle,
 }
 
@@ -223,6 +242,8 @@ impl<'a> FusedMomentKernel<'a> {
             u_cur,
             u_next: vec![0.0; (order + 1) * n],
             acc: vec![NeumaierSum::new(); n_times * (order + 1) * n],
+            projection: None,
+            partials: Vec::new(),
             recorder: RecorderHandle::disabled(),
         }
     }
@@ -239,6 +260,59 @@ impl<'a> FusedMomentKernel<'a> {
     /// The arithmetic variant the pass body runs.
     pub fn variant(&self) -> ResolvedKernel {
         self.variant
+    }
+
+    /// Attaches the projection vector `π` and projects the current
+    /// iterate; from then on every advancing
+    /// [`FusedMomentKernel::step`] also projects the iterate it writes,
+    /// so [`FusedMomentKernel::projected`] always holds `π·U⁽ʲ⁾` of the
+    /// iterate [`FusedMomentKernel::u_order`] shows. The result is
+    /// bit-identical across thread counts and storage formats within a
+    /// variant (and between the two variants, given the same iterate).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pi.len()` differs from the state count.
+    pub fn set_projection(&mut self, pi: &'a [f64]) {
+        assert_eq!(pi.len(), self.n, "projection length mismatch");
+        let (n, order1) = (self.n, self.order + 1);
+        self.projection = Some(pi);
+        self.partials = vec![0.0; n.div_ceil(SIMD_BLOCK).max(1) * order1];
+        // The same blocks and dot as a pass, on one thread.
+        for (b, part) in self.partials.chunks_exact_mut(order1).enumerate() {
+            let rows = b * SIMD_BLOCK..((b + 1) * SIMD_BLOCK).min(n);
+            for (j, p) in part.iter_mut().enumerate() {
+                *p = simd::dot(
+                    &pi[rows.clone()],
+                    &self.u_cur[j * n..(j + 1) * n][rows.clone()],
+                );
+            }
+        }
+        self.reduce_partials();
+    }
+
+    /// `π·U⁽ʲ⁾` of the current iterate for `j = 0 ..= order`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no projection is attached.
+    pub fn projected(&self) -> &[f64] {
+        assert!(self.projection.is_some(), "no projection attached");
+        &self.partials[..self.order + 1]
+    }
+
+    /// Sums the block partials into the first `order + 1` entries, in
+    /// ascending block order on one thread — independent of how the
+    /// blocks were spread over chunks.
+    fn reduce_partials(&mut self) {
+        let order1 = self.order + 1;
+        for j in 0..order1 {
+            let mut sum = self.partials[j];
+            for b in 1..self.partials.len() / order1 {
+                sum += self.partials[b * order1 + j];
+            }
+            self.partials[j] = sum;
+        }
     }
 
     /// Attaches a telemetry recorder; each pass is then timed under
@@ -266,7 +340,8 @@ impl<'a> FusedMomentKernel<'a> {
     /// One fused pass at iteration `k`: adds `wk·U⁽ʲ⁾(k)` into the
     /// accumulators of every `(ti, wk)` in `active`, and, if `advance`,
     /// computes `U⁽ʲ⁾(k+1)` for all `j` in the same sweep (skipped on the
-    /// final iteration `k = G`).
+    /// final iteration `k = G`) — and `π·U⁽ʲ⁾(k+1)` when a projection is
+    /// attached.
     ///
     /// # Panics
     ///
@@ -295,14 +370,21 @@ impl<'a> FusedMomentKernel<'a> {
             u_cur: &self.u_cur,
             u_next: SyncMutPtr::new(self.u_next.as_mut_ptr()),
             acc: SyncMutPtr::new(self.acc.as_mut_ptr()),
+            projection: self.projection.filter(|_| advance),
+            partials: SyncMutPtr::new(self.partials.as_mut_ptr()),
             active,
             advance,
         };
         let ctx = &ctx;
         let variant = self.variant;
         let rec = &self.recorder;
+        let projecting = self.projection.is_some();
         let task = |c: usize| {
-            let range = chunk_range(n, chunks, c);
+            let range = if projecting {
+                block_chunk_range(n, chunks, c)
+            } else {
+                chunk_range(n, chunks, c)
+            };
             if range.is_empty() {
                 return;
             }
@@ -331,6 +413,9 @@ impl<'a> FusedMomentKernel<'a> {
         self.recorder.counter_add("kernel.passes", 1);
         if advance {
             std::mem::swap(&mut self.u_cur, &mut self.u_next);
+            if projecting {
+                self.reduce_partials();
+            }
         }
     }
 
@@ -362,20 +447,21 @@ impl<'a> FusedMomentKernel<'a> {
 
 impl crate::footprint::FootprintBytes for FusedMomentKernel<'_> {
     /// The kernel's owned working set: the `U` ping-pong pair
-    /// (`2·(order+1)·n` doubles) plus the compensated accumulators
-    /// (`n_times·(order+1)·n` [`NeumaierSum`]s). The matrix and the
-    /// `R'`/`½S'` strips are borrowed, not owned, and are accounted by
-    /// their own [`FootprintBytes`](crate::footprint::FootprintBytes)
-    /// impls.
+    /// (`2·(order+1)·n` doubles), the compensated accumulators
+    /// (`n_times·(order+1)·n` [`NeumaierSum`]s) and, when projecting,
+    /// the `(order+1)·⌈n/SIMD_BLOCK⌉` block partials. The matrix, the
+    /// `R'`/`½S'` strips and `π` are borrowed, not owned, and are
+    /// accounted by their own
+    /// [`FootprintBytes`](crate::footprint::FootprintBytes) impls.
     fn footprint_bytes(&self) -> usize {
-        (self.u_cur.len() + self.u_next.len()) * std::mem::size_of::<f64>()
+        (self.u_cur.len() + self.u_next.len() + self.partials.len()) * std::mem::size_of::<f64>()
             + self.acc.len() * std::mem::size_of::<NeumaierSum>()
     }
 }
 
 /// Shared read-only context of one fused pass, handed to the per-chunk
-/// kernel bodies. The two raw write targets are only touched inside the
-/// chunk's own row range.
+/// kernel bodies. The raw write targets are only touched inside the
+/// chunk's own row range (for `partials`: its own row blocks).
 struct PassCtx<'c> {
     n: usize,
     order1: usize,
@@ -385,8 +471,42 @@ struct PassCtx<'c> {
     u_cur: &'c [f64],
     u_next: SyncMutPtr<f64>,
     acc: SyncMutPtr<NeumaierSum>,
+    projection: Option<&'c [f64]>,
+    partials: SyncMutPtr<f64>,
     active: &'c [(usize, f64)],
     advance: bool,
+}
+
+/// Row range of chunk `c` of a projecting pass: whole [`SIMD_BLOCK`]
+/// row blocks, spread as evenly as the block count allows, so no block
+/// partial is ever split between two threads.
+fn block_chunk_range(n: usize, chunks: usize, c: usize) -> Range<usize> {
+    let blocks = n.div_ceil(SIMD_BLOCK);
+    let chunks = chunks.max(1);
+    let lo = (c * blocks / chunks * SIMD_BLOCK).min(n);
+    let hi = ((c + 1) * blocks / chunks * SIMD_BLOCK).min(n);
+    lo..hi
+}
+
+/// Writes the projection partials of the freshly advanced row block
+/// starting at `blo` (a multiple of [`SIMD_BLOCK`]) for every order.
+/// [`simd::dot`] has a fixed lane association and no fused
+/// multiply-add, so a block's partial has the same bits in either
+/// variant.
+#[inline(always)]
+fn project_block(ctx: &PassCtx, pi: &[f64], blo: usize, bhi: usize) {
+    let n = ctx.n;
+    let b = blo / SIMD_BLOCK;
+    for j in 0..ctx.order1 {
+        // SAFETY: this chunk wrote these rows of `u_next` this pass, and
+        // a block belongs to exactly one chunk (block_chunk_range).
+        let dot = unsafe {
+            let next = std::slice::from_raw_parts(ctx.u_next.add(j * n + blo), bhi - blo);
+            simd::dot(&pi[blo..bhi], next)
+        };
+        // SAFETY: as above.
+        unsafe { *ctx.partials.add(b * ctx.order1 + j) = dot };
+    }
 }
 
 /// The strict-f64 reference chunk body — the historical kernel,
@@ -597,6 +717,14 @@ fn scalar_chunk(ctx: &PassCtx, range: Range<usize>) {
             }
         }
     }
+    if let Some(pi) = ctx.projection {
+        let mut blo = range.start;
+        while blo < range.end {
+            let bhi = (blo + SIMD_BLOCK).min(range.end);
+            project_block(ctx, pi, blo, bhi);
+            blo = bhi;
+        }
+    }
 }
 
 /// The canonical-FMA combine shared by the simd CSR rows and the simd
@@ -639,9 +767,12 @@ const CSR_PREFETCH_MIN_NNZ_PER_ROW: usize = 8;
 /// every `(time, order)` pair while the `U_k` rows are cache-hot
 /// (vectorized Neumaier, bitwise-equal to the scalar update), then the
 /// advance re-reads the same rows as dot input for order `j` and as
-/// combine input for orders `j+1`/`j+2`. The DIA interior runs 4-wide
-/// ([`simd::dot_strips`] + [`simd::axpy_fma`]); the CSR gather is
-/// software-prefetched [`CSR_PREFETCH_ROWS`] rows ahead.
+/// combine input for orders `j+1`/`j+2`, and the projection dot (when
+/// `π` is attached) reads the block just written (a projecting chunk
+/// starts on a block multiple, so these blocks are the global ones).
+/// The DIA interior runs 4-wide ([`simd::dot_strips`] +
+/// [`simd::axpy_fma`]); the CSR gather is software-prefetched
+/// [`CSR_PREFETCH_ROWS`] rows ahead.
 ///
 /// Dispatch: with AVX2+FMA detected the body runs inside a
 /// `#[target_feature]` wrapper so every `mul_add` in the row loops
@@ -799,6 +930,9 @@ fn simd_chunk_impl(ctx: &PassCtx, range: Range<usize>) {
                     }
                 }
             }
+        }
+        if let Some(pi) = ctx.projection {
+            project_block(ctx, pi, blo, bhi);
         }
         blo = bhi;
     }
@@ -1083,6 +1217,118 @@ mod tests {
                 "scalar vs simd at {i}: {a} vs {b} (scale {scale})"
             );
         }
+    }
+
+    /// Runs 30 steps, with `π` attached if `project`, plus one time
+    /// point so the accumulators ride along. Returns every iterate's
+    /// projection (each checked against a naive dot of the current
+    /// iterate) and the final accumulators.
+    fn run_projected(
+        m: &CsrMatrix<f64>,
+        format: MatrixFormat,
+        threads: usize,
+        variant: ResolvedKernel,
+        project: bool,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let n = m.rows();
+        let order = 3;
+        let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0).collect();
+        let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
+        let pi: Vec<f64> = (0..n)
+            .map(|i| ((i * 7919) % 101) as f64 / (101.0 * n as f64))
+            .collect();
+        let u0 = vec![1.0; n];
+        let im = IterationMatrix::with_format(m.clone(), format);
+        let mut k = FusedMomentKernel::new(&im, &r_prime, &s_half, order, 1, &u0, threads);
+        k.set_variant(variant);
+        if project {
+            k.set_projection(&pi);
+        }
+        let mut projections = Vec::new();
+        for step in 0..=30 {
+            if project {
+                let naive: Vec<f64> = (0..=order)
+                    .map(|j| k.u_order(j).iter().zip(&pi).map(|(u, p)| u * p).sum())
+                    .collect();
+                for (got, want) in k.projected().iter().zip(&naive) {
+                    assert!((got - want).abs() <= 1e-12 * want.abs(), "{got} vs {want}");
+                }
+                projections.extend_from_slice(k.projected());
+            }
+            if step < 30 {
+                k.step(&[(0, 0.5 / (step + 1) as f64)], step < 29);
+            }
+        }
+        let acc = (0..=order)
+            .flat_map(|j| k.accumulated(0, j).iter().map(|a| a.value()))
+            .collect();
+        (projections, acc)
+    }
+
+    #[test]
+    fn projection_bitwise_across_formats_and_threads() {
+        // Six row blocks, the last one partial: chunks of 2, 4 and 8
+        // threads split them differently, and 8 threads leaves chunks
+        // idle. Within each variant every format and thread count must
+        // give the same bits, and attaching π must not move the
+        // accumulators.
+        let n = 5 * SIMD_BLOCK + 37;
+        let m = tridiag_matrix(n);
+        for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
+            let (base_proj, base_acc) = run_projected(&m, MatrixFormat::Csr, 1, variant, true);
+            let (_, plain) = run_projected(&m, MatrixFormat::Csr, 3, variant, false);
+            assert_eq!(
+                base_acc, plain,
+                "{variant:?}: projection perturbed accumulators"
+            );
+            for format in [MatrixFormat::Csr, MatrixFormat::Dia, MatrixFormat::Operator] {
+                for threads in [1usize, 2, 4, 8] {
+                    let (proj, acc) = run_projected(&m, format, threads, variant, true);
+                    for (i, (a, b)) in base_proj.iter().zip(&proj).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{variant:?} {format} x{threads}: projection {i}: {a} vs {b}"
+                        );
+                    }
+                    assert_eq!(
+                        base_acc, acc,
+                        "{variant:?} {format} x{threads}: accumulators"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_chunks_cover_whole_blocks() {
+        for n in [1usize, 100, SIMD_BLOCK, 3 * SIMD_BLOCK + 1, 9 * SIMD_BLOCK] {
+            for chunks in 1..=9 {
+                let mut next = 0;
+                for c in 0..chunks {
+                    let r = block_chunk_range(n, chunks, c);
+                    assert_eq!(r.start % SIMD_BLOCK, 0, "n {n} chunks {chunks}");
+                    if !r.is_empty() {
+                        assert_eq!(r.start, next);
+                        next = r.end;
+                    }
+                }
+                assert_eq!(next, n, "n {n} chunks {chunks}");
+            }
+        }
+    }
+
+    #[test]
+    fn projecting_footprint_counts_the_block_partials() {
+        use crate::footprint::FootprintBytes;
+        let n = 2 * SIMD_BLOCK + 1;
+        let im = IterationMatrix::with_format(tridiag_matrix(n), MatrixFormat::Csr);
+        let zeros = vec![0.0; n];
+        let u0 = vec![1.0; n];
+        let mut k = FusedMomentKernel::new(&im, &zeros, &zeros, 2, 0, &u0, 1);
+        assert_eq!(k.footprint_bytes(), 2 * 3 * n * 8);
+        k.set_projection(&u0);
+        assert_eq!(k.footprint_bytes(), 2 * 3 * n * 8 + 3 * 3 * 8);
     }
 
     #[test]

@@ -340,6 +340,80 @@ fn axpy_fma_portable(out: &mut [f64], a: &[f64], x: &[f64]) {
 }
 
 // ---------------------------------------------------------------------------
+// dot: Σ a[i]·x[i] over 16 interleaved lanes, plain multiply and add
+// ---------------------------------------------------------------------------
+
+/// Lanes of [`dot`]: four 4-wide accumulators, enough independent add
+/// chains to hide the add latency.
+const DOT_LANES: usize = 16;
+
+/// Dot product with a fixed association: lane `l` sums `a[i]·x[i]` for
+/// `i ≡ l (mod 16)` over the first `len − len mod 16` entries; lanes
+/// `l, l+4, l+8, l+12` combine as `(s_l + s_{l+4}) + (s_{l+8} +
+/// s_{l+12})` into `t_0..t_3`, those as `(t_0 + t_1) + (t_2 + t_3)`, and
+/// the tail entries are then added in order. Plain (unfused) multiply
+/// and add throughout, so the AVX2 path and the portable fallback give
+/// the same bits, in either kernel variant.
+pub fn dot(a: &[f64], x: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), x.len());
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: gated on runtime AVX2 detection.
+        return unsafe { dot_avx2(a, x) };
+    }
+    dot_portable(a, x)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dot_avx2(a: &[f64], x: &[f64]) -> f64 {
+    use core::arch::x86_64::*;
+    let len = a.len().min(x.len());
+    let body = len - len % DOT_LANES;
+    let (pa, px) = (a.as_ptr(), x.as_ptr());
+    let mut acc = [_mm256_setzero_pd(); 4];
+    let mut i = 0usize;
+    while i < body {
+        for (r, s) in acc.iter_mut().enumerate() {
+            let prod = _mm256_mul_pd(
+                _mm256_loadu_pd(pa.add(i + 4 * r)),
+                _mm256_loadu_pd(px.add(i + 4 * r)),
+            );
+            *s = _mm256_add_pd(*s, prod);
+        }
+        i += DOT_LANES;
+    }
+    let t = _mm256_add_pd(_mm256_add_pd(acc[0], acc[1]), _mm256_add_pd(acc[2], acc[3]));
+    let mut lanes = [0.0f64; 4];
+    _mm256_storeu_pd(lanes.as_mut_ptr(), t);
+    let mut sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+    for k in body..len {
+        sum += a[k] * x[k];
+    }
+    sum
+}
+
+fn dot_portable(a: &[f64], x: &[f64]) -> f64 {
+    let len = a.len().min(x.len());
+    let body = len - len % DOT_LANES;
+    let mut s = [0.0f64; DOT_LANES];
+    for (ca, cx) in a[..body]
+        .chunks_exact(DOT_LANES)
+        .zip(x[..body].chunks_exact(DOT_LANES))
+    {
+        for l in 0..DOT_LANES {
+            s[l] += ca[l] * cx[l];
+        }
+    }
+    let t: [f64; 4] = std::array::from_fn(|l| (s[l] + s[l + 4]) + (s[l + 8] + s[l + 12]));
+    let mut sum = (t[0] + t[1]) + (t[2] + t[3]);
+    for k in body..len {
+        sum += a[k] * x[k];
+    }
+    sum
+}
+
+// ---------------------------------------------------------------------------
 // accumulate_scaled: acc[i].add(wk * u[i]) with vectorized Neumaier
 // ---------------------------------------------------------------------------
 
@@ -500,6 +574,24 @@ mod tests {
             let want = a[i].mul_add(x[i], base[i]);
             assert_eq!(out[i].to_bits(), want.to_bits(), "lane {i}");
             assert_eq!(out_portable[i].to_bits(), want.to_bits(), "portable lane {i}");
+        }
+    }
+
+    #[test]
+    fn dot_paths_agree_bitwise_on_every_tail_length() {
+        // Magnitudes spread over 30 decades so any reassociation shows.
+        for len in [0usize, 1, 15, 16, 17, 33, 2048, 2051] {
+            let a: Vec<f64> = (0..len)
+                .map(|i| 10f64.powi((i % 31) as i32 - 15) * 1.3)
+                .collect();
+            let x: Vec<f64> = (0..len).map(|i| 1.0 / (i as f64 + 0.7)).collect();
+            let got = dot(&a, &x);
+            assert_eq!(got.to_bits(), dot_portable(&a, &x).to_bits(), "len {len}");
+            let naive: f64 = a.iter().zip(&x).map(|(p, q)| p * q).sum();
+            assert!(
+                (got - naive).abs() <= 1e-14 * naive.abs(),
+                "len {len}: {got} vs {naive}"
+            );
         }
     }
 

@@ -243,10 +243,8 @@ impl Event {
                     .ok_or_else(|| "missing 'error_bounds' array".to_string())?;
                 let mut error_bounds = Vec::with_capacity(arr.len());
                 for b in arr {
-                    error_bounds.push(
-                        b.as_f64()
-                            .ok_or_else(|| "non-numeric error bound".to_string())?,
-                    );
+                    error_bounds
+                        .push(finite(b).ok_or_else(|| "non-numeric error bound".to_string())?);
                 }
                 Ok(Event::Truncation {
                     qt: field_f64(&v, "qt")?,
@@ -266,11 +264,7 @@ impl Event {
                     .ok_or_else(|| "missing 'eta_s'".to_string())?;
                 let eta_s = match eta {
                     Value::Null => None,
-                    other => Some(
-                        other
-                            .as_f64()
-                            .ok_or_else(|| "non-numeric 'eta_s'".to_string())?,
-                    ),
+                    other => Some(finite(other).ok_or_else(|| "non-numeric 'eta_s'".to_string())?),
                 };
                 Ok(Event::Progress {
                     k: field_u64(&v, "k")?,
@@ -297,9 +291,16 @@ impl Event {
     }
 }
 
+/// A finite number. The writer renders non-finite floats as `null`, so
+/// an overflowing literal such as `1e999` (parsed as infinity) could
+/// never round-trip and is rejected like any other non-number.
+fn finite(v: &Value) -> Option<f64> {
+    v.as_f64().filter(|x| x.is_finite())
+}
+
 fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
     v.get(key)
-        .and_then(Value::as_f64)
+        .and_then(finite)
         .ok_or_else(|| format!("missing or non-numeric '{key}'"))
 }
 
@@ -502,6 +503,10 @@ mod tests {
     #[test]
     fn parser_is_strict() {
         assert!(Event::parse("not json").is_err());
+        assert!(
+            Event::parse("{\"v\":1,\"event\":\"complete\",\"g\":1,\"error_bound\":1e999}").is_err(),
+            "an overflowing float cannot round-trip"
+        );
         assert!(
             Event::parse("{\"v\":1,\"event\":\"progress\"}").is_err(),
             "missing fields rejected"

@@ -126,19 +126,62 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level (and so do `Drop`, `Clone` and [`write_value`] on the
+/// result), so an unbounded depth let one line of `[[[[…` overflow the
+/// stack; no document this workspace reads nests past a handful.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`parse`] rejected a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParseError {
+    /// Arrays/objects nested deeper than [`MAX_DEPTH`]; `at` is the
+    /// byte offset of the first bracket past the limit.
+    TooDeep {
+        /// Byte offset of the offending `[` or `{`.
+        at: usize,
+    },
+    /// Any other malformation, with the byte offset in the message.
+    Syntax(String),
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParseError::TooDeep { at } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {at}")
+            }
+            ParseError::Syntax(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+impl From<ParseError> for String {
+    fn from(e: ParseError) -> String {
+        e.to_string()
+    }
+}
+
+fn syntax<T>(msg: String) -> Result<T, ParseError> {
+    Err(ParseError::Syntax(msg))
+}
+
 /// Parses a complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).
 ///
 /// # Errors
 ///
-/// A human-readable message with the byte offset of the first problem.
-pub fn parse(text: &str) -> Result<Value, String> {
+/// [`ParseError::TooDeep`] past [`MAX_DEPTH`] nesting levels, otherwise
+/// [`ParseError::Syntax`] with the byte offset of the first problem.
+pub fn parse(text: &str) -> Result<Value, ParseError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+        return syntax(format!("trailing data at byte {pos}"));
     }
     Ok(value)
 }
@@ -153,21 +196,27 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
+fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), ParseError> {
     if bytes.get(*pos) == Some(&b) {
         *pos += 1;
         Ok(())
     } else {
-        Err(format!("expected '{}' at byte {}", b as char, *pos))
+        syntax(format!("expected '{}' at byte {}", b as char, *pos))
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`, which sits inside `depth` open
+/// arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     skip_ws(bytes, pos);
+    let container = matches!(bytes.get(*pos), Some(b'{') | Some(b'['));
+    if container && depth >= MAX_DEPTH {
+        return Err(ParseError::TooDeep { at: *pos });
+    }
     match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        None => syntax("unexpected end of input".to_string()),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -181,16 +230,16 @@ fn parse_literal(
     pos: &mut usize,
     lit: &str,
     value: Value,
-) -> Result<Value, String> {
+) -> Result<Value, ParseError> {
     if bytes[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(value)
     } else {
-        Err(format!("invalid literal at byte {}", *pos))
+        syntax(format!("invalid literal at byte {}", *pos))
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -216,15 +265,16 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number");
     text.parse::<f64>()
         .map(Value::Num)
-        .map_err(|_| format!("invalid number '{text}' at byte {start}"))
+        .map_err(|_| ParseError::Syntax(format!("invalid number '{text}' at byte {start}")))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
+    let bad_escape = || ParseError::Syntax("bad \\u escape".to_string());
     loop {
         match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
+            None => return syntax("unterminated string".to_string()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -241,30 +291,30 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
+                        let hex = bytes.get(*pos + 1..*pos + 5).ok_or_else(|| {
+                            ParseError::Syntax("truncated \\u escape".to_string())
+                        })?;
                         let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
+                            std::str::from_utf8(hex).map_err(|_| bad_escape())?,
                             16,
                         )
-                        .map_err(|_| "bad \\u escape")?;
+                        .map_err(|_| bad_escape())?;
                         // Surrogate pairs are not needed by our reports;
                         // map lone surrogates to the replacement char.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
+                    _ => return syntax(format!("bad escape at byte {}", *pos)),
                 }
                 *pos += 1;
             }
             Some(&b) if b < 0x20 => {
-                return Err(format!("raw control character at byte {}", *pos))
+                return syntax(format!("raw control character at byte {}", *pos))
             }
             Some(_) => {
                 // Copy one UTF-8 scalar (multi-byte safe).
                 let s = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
+                    .map_err(|_| ParseError::Syntax(format!("invalid UTF-8 at byte {}", *pos)))?;
                 let c = s.chars().next().expect("non-empty");
                 out.push(c);
                 *pos += c.len_utf8();
@@ -273,7 +323,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -282,7 +332,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -290,12 +340,12 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 *pos += 1;
                 return Ok(Value::Arr(items));
             }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
+            _ => return syntax(format!("expected ',' or ']' at byte {}", *pos)),
         }
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -308,7 +358,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -317,7 +367,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 *pos += 1;
                 return Ok(Value::Obj(members));
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
+            _ => return syntax(format!("expected ',' or '}}' at byte {}", *pos)),
         }
     }
 }
@@ -369,6 +419,29 @@ mod tests {
         let mut out = String::new();
         write_value(&mut out, &v);
         assert_eq!(parse(&out).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let mixed = format!(
+            "{}1{}",
+            "{\"a\":[".repeat(MAX_DEPTH / 2),
+            "]}".repeat(MAX_DEPTH / 2)
+        );
+        assert!(parse(&mixed).is_ok());
+        // One level more, and a line deep enough to overflow any stack
+        // if the parser recursed without a cap.
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(parse(&over), Err(ParseError::TooDeep { at: MAX_DEPTH }));
+        let hostile = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        let err = parse(&hostile).unwrap_err();
+        assert_eq!(err, ParseError::TooDeep { at: MAX_DEPTH });
+        assert_eq!(
+            err.to_string(),
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
     }
 
     #[test]

@@ -285,8 +285,10 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn rss_sampler_reads_something_plausible() {
-        let peak = peak_rss_bytes().expect("linux exposes VmHWM");
+        // Current first: other test threads may grow RSS between the two
+        // reads, and only a later high-water mark bounds an earlier RSS.
         let cur = current_rss_bytes().expect("linux exposes VmRSS");
+        let peak = peak_rss_bytes().expect("linux exposes VmHWM");
         assert!(peak >= cur, "high-water mark below current RSS");
         assert!(cur > 0);
         let l = MemLedger::new();

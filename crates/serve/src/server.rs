@@ -571,7 +571,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use somrm_core::uniformization::moments_sweep;
     use somrm_obs::json::{parse, Value};
     use somrm_ctmc::generator::GeneratorBuilder;
     use std::io::Cursor;
@@ -642,14 +641,18 @@ mod tests {
         for l in &lines {
             parse(l).unwrap_or_else(|e| panic!("response not JSON: {e}: {l}"));
         }
-        // The good request matches a cold solve bit-for-bit (shortest
-        // round-trip float formatting preserves every bit).
+        // The good request matches a cold plan's projected execute
+        // bit-for-bit (shortest round-trip float formatting preserves
+        // every bit).
         let good = lines
             .iter()
             .map(|l| parse(l).unwrap())
             .find(|v| v.get("ok") == Some(&Value::Bool(true)))
             .expect("one success");
-        let cold = moments_sweep(&build(MODEL_A), 2, &[0.5], &SolverConfig::default()).unwrap();
+        let cold = SolvePlan::build(&build(MODEL_A), 2, &SolverConfig::default())
+            .unwrap()
+            .execute(&[0.5], 2)
+            .unwrap();
         assert_eq!(moments_of(&good), cold[0].weighted);
         // Errors carry their ids and a message.
         let errs: Vec<Value> = lines
@@ -660,6 +663,36 @@ mod tests {
         assert_eq!(errs.len(), 3);
         assert!(errs.iter().any(|v| v.get("id").unwrap().as_f64() == Some(3.0)));
         assert!(errs.iter().all(|v| v.get("error").unwrap().as_str().is_some()));
+    }
+
+    #[test]
+    fn a_deeply_nested_request_errors_and_the_next_line_is_answered() {
+        // A 400 KB id of 200,000 nested arrays used to overflow the
+        // parser's stack and abort the server before line two.
+        let deep = format!(
+            r#"{{"id": {}{}, "model": "model-a", "t": 0.5}}"#,
+            "[".repeat(200_000),
+            "]".repeat(200_000)
+        );
+        let input = format!("{deep}\n{}\n", r#"{"id": 2, "model": "model-a", "t": 0.5}"#);
+        let mut out = Vec::new();
+        let summary = serve(
+            Cursor::new(input),
+            &mut out,
+            &resolver,
+            &ServeOptions::default(),
+        )
+        .unwrap();
+        assert_eq!((summary.requests, summary.ok, summary.errors), (2, 1, 1));
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<Value> = text.lines().map(|l| parse(l).unwrap()).collect();
+        assert_eq!(lines.len(), 2, "both lines answer");
+        assert_eq!(lines[0].get("ok"), Some(&Value::Bool(false)));
+        assert_eq!(lines[0].get("id"), Some(&Value::Null));
+        let err = lines[0].get("error").and_then(Value::as_str).unwrap();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert_eq!(lines[1].get("id").and_then(Value::as_f64), Some(2.0));
+        assert_eq!(moments_of(&lines[1]).len(), 3);
     }
 
     #[test]

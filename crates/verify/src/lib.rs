@@ -3,7 +3,8 @@
 //! The harness generates seeded random models across eight structural
 //! families ([`case::Family`]), solves each with every backend the
 //! workspace ships — randomization in CSR and DIA storage, serial and
-//! pooled; the first-order closed path; the explicit-ODE reference; and
+//! pooled, per-state and projected; the first-order closed path; the
+//! explicit-ODE reference; and
 //! Monte-Carlo simulation — and asserts pairwise agreement within
 //! tolerances *earned* from each method's own error bounds
 //! ([`oracle`]). A failing case is shrunk to a minimal reproducer
@@ -104,6 +105,8 @@ pub struct VerifySummary {
     /// See [`VerifySummary::dia_checked`].
     pub plan_checked: u64,
     /// See [`VerifySummary::dia_checked`].
+    pub proj_checked: u64,
+    /// See [`VerifySummary::dia_checked`].
     pub simd_checked: u64,
     /// See [`VerifySummary::dia_checked`].
     pub first_order_checked: u64,
@@ -130,12 +133,13 @@ impl VerifySummary {
         }
         let _ = writeln!(
             out,
-            "checks: dia {} | op {} | kron {} | pool {} | plan {} | simd {} | first-order {} | ode {} | sim {}",
+            "checks: dia {} | op {} | kron {} | pool {} | plan {} | proj {} | simd {} | first-order {} | ode {} | sim {}",
             self.dia_checked,
             self.op_checked,
             self.kron_checked,
             self.pool_checked,
             self.plan_checked,
+            self.proj_checked,
             self.simd_checked,
             self.first_order_checked,
             self.ode_checked,
@@ -192,6 +196,7 @@ pub fn run_verification(opts: &VerifyOpts) -> VerifySummary {
                 summary.kron_checked += u64::from(stats.kron_checked);
                 summary.pool_checked += u64::from(stats.pool_checked);
                 summary.plan_checked += u64::from(stats.plan_checked);
+                summary.proj_checked += u64::from(stats.proj_checked);
                 summary.simd_checked += u64::from(stats.simd_checked);
                 summary.first_order_checked += u64::from(stats.first_order_checked);
                 summary.ode_checked += u64::from(stats.ode_checked);
@@ -257,6 +262,7 @@ mod tests {
         assert_eq!(summary.kron_checked, 16, "companion runs on every case");
         assert_eq!(summary.pool_checked, 16);
         assert_eq!(summary.plan_checked, 16);
+        assert_eq!(summary.proj_checked, 16);
         assert_eq!(summary.simd_checked, 16);
         assert!(summary.first_order_checked >= 2, "first-order family ran");
         assert!(summary.render().contains("PASS"));

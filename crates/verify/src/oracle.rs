@@ -7,7 +7,13 @@
 //! - **CSR vs DIA**, **CSR vs matrix-free operator** (tridiagonal cases
 //!   plus a Kronecker-sum companion built per case), and **serial vs
 //!   pooled** randomization must agree **bitwise** (prior work proved
-//!   the kernels bit-identical; the oracle keeps them honest).
+//!   the kernels bit-identical; the oracle keeps them honest). So must
+//!   the projected `SolvePlan::execute` among itself: warm vs a cold
+//!   plan, pooled vs serial.
+//! - **Projected vs per-state** weighted moments sum the same series in
+//!   a different order; `rnd-proj` allows exactly the derived rounding
+//!   `2·(n + G·(j+2))·u` times the magnitude of the un-shift sum, with
+//!   no relative floor.
 //! - **Randomization vs closed forms / ODE / simulation** must agree
 //!   within `bound_rnd + bound_other + rel_floor·scale`, where
 //!   `bound_rnd` is the realized Theorem-4 truncation bound,
@@ -104,8 +110,12 @@ pub struct CaseStats {
     pub kron_checked: bool,
     /// Pooled randomization compared bitwise.
     pub pool_checked: bool,
-    /// Cached-plan execute (cold and warm) compared bitwise.
+    /// Projected execute compared bitwise: warm vs a cold plan, pooled
+    /// vs serial.
     pub plan_checked: bool,
+    /// Projected execute compared with the per-state weighted moments
+    /// within the derived rounding allowance.
+    pub proj_checked: bool,
     /// Forced-SIMD kernel compared within the Theorem-4 bound.
     pub simd_checked: bool,
     /// First-order closed form compared (only σ² ≡ 0 models).
@@ -119,8 +129,9 @@ pub struct CaseStats {
 /// One failed pairwise comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
-    /// Name of the check (`"rnd-dia"`, `"rnd-pool"`, `"rnd-simd"`,
-    /// `"first-order"`, `"ode-rk4"`, `"simulation"`, or `"solve-error"`).
+    /// Name of the check (`"rnd-dia"`, `"rnd-pool"`, `"rnd-proj"`,
+    /// `"rnd-simd"`, `"first-order"`, `"ode-rk4"`, `"simulation"`, or
+    /// `"solve-error"`).
     pub check: String,
     /// Moment order at which the disagreement occurred.
     pub order: usize,
@@ -366,19 +377,37 @@ fn check_case_inner(
     stats.pool_checked = true;
     rec.counter_add("verify.checks.pool", 1);
 
-    // --- Plan oracle: a prebuilt plan's execute must be bit-identical
-    // to the cold solve, and stay so on warm re-execution. ---
+    // --- Projection oracle: the projected execute of a cold plan must
+    // match the per-state reference within the derived rounding
+    // allowance; re-executing it warm, and executing it pooled, must be
+    // bit-identical to that cold answer. ---
     let plan = rec
         .time("verify.solve.plan", || {
             SolvePlan::build(&model, case.order, &base)
         })
-        .map_err(|e| solve_error("rnd-plan", &e))?;
-    for check in ["rnd-plan", "rnd-plan-warm"] {
-        let executed = plan
-            .execute(&[case.t], case.order)
-            .map_err(|e| solve_error(check, &e))?;
-        compare_bitwise(check, &reference.weighted, &executed[0].weighted)?;
-    }
+        .map_err(|e| solve_error("rnd-proj", &e))?;
+    let project = |plan: &SolvePlan, check: &str| {
+        rec.time("verify.solve.proj", || plan.execute(&[case.t], case.order))
+            .map(|mut s| s.remove(0))
+            .map_err(|e| solve_error(check, &e))
+    };
+    let cold = project(&plan, "rnd-proj")?;
+    let allowance = projection_allowance(&reference, model.n_states());
+    compare_bounded("rnd-proj", &reference.weighted, &cold.weighted, |n| {
+        (
+            allowance[n],
+            format!("rounding 2(n+G(j+2))u*M={:e}", allowance[n]),
+        )
+    })?;
+    stats.proj_checked = true;
+    rec.counter_add("verify.checks.proj", 1);
+
+    let warm = project(&plan, "rnd-plan-warm")?;
+    compare_bitwise("rnd-plan-warm", &cold.weighted, &warm.weighted)?;
+    let pooled_plan =
+        SolvePlan::build(&model, case.order, &pool_cfg).map_err(|e| solve_error("rnd-plan", &e))?;
+    let pooled = project(&pooled_plan, "rnd-plan")?;
+    compare_bitwise("rnd-plan", &cold.weighted, &pooled.weighted)?;
     stats.plan_checked = true;
     rec.counter_add("verify.checks.plan", 1);
 
@@ -497,6 +526,36 @@ fn check_case_inner(
     Ok(stats)
 }
 
+/// Per-order rounding allowance of the projected weighted moments
+/// against the per-state `reference`: `2·(n + G·(j+2))·u·M_j`, where
+/// `n` is the state count, `G` the truncation point, `u` the unit
+/// roundoff, and `M_j = Σ_{i≤j} |C(j,i)·(řt)^{j−i}·π·V̌⁽ⁱ⁾|` the magnitude
+/// of the un-shift sum. The un-shift subtracts when the drift shift `ř`
+/// is negative, so `M_j` can exceed the moment itself; `π·V̌⁽ⁱ⁾ ≥ 0` is
+/// recovered from the reference by the inverse shift.
+fn projection_allowance(reference: &somrm_core::MomentSolution, n_states: usize) -> Vec<f64> {
+    let c = reference.stats.shift * reference.t;
+    let g = reference.stats.iterations as f64;
+    let u = f64::EPSILON / 2.0;
+    let binomial = |j: usize, i: usize| somrm_num::special::binomial(j as u32, i as u32);
+    let order = reference.order();
+    let shifted: Vec<f64> = (0..=order)
+        .map(|j| {
+            (0..=j)
+                .map(|i| binomial(j, i) * (-c).powi((j - i) as i32) * reference.weighted[i])
+                .sum()
+        })
+        .collect();
+    (0..=order)
+        .map(|j| {
+            let magnitude: f64 = (0..=j)
+                .map(|i| (binomial(j, i) * c.powi((j - i) as i32) * shifted[i]).abs())
+                .sum();
+            2.0 * (n_states as f64 + g * (j + 2) as f64) * u * magnitude
+        })
+        .collect()
+}
+
 /// Builds the case's Kronecker companion: a 2×3-factor composite chain
 /// (6 states) with rates derived deterministically from the case's own
 /// parameters, annotated with a [`ModelStructure::KroneckerSum`]
@@ -581,6 +640,7 @@ mod tests {
         assert!(stats.kron_checked, "every case runs the Kronecker companion");
         assert!(stats.pool_checked);
         assert!(stats.plan_checked);
+        assert!(stats.proj_checked);
         assert!(stats.simd_checked);
         assert!(stats.ode_checked);
         assert!(stats.sim_checked);
@@ -617,6 +677,7 @@ mod tests {
         let stats =
             check_case(&case, &OracleConfig::default(), &mut case_rng(1, 3)).unwrap();
         assert!(stats.dia_checked && stats.pool_checked && stats.plan_checked);
+        assert!(stats.proj_checked);
     }
 
     #[test]
@@ -667,6 +728,7 @@ mod tests {
         assert_eq!(snap.counter("verify.checks.kron"), Some(1));
         assert_eq!(snap.counter("verify.checks.pool"), Some(1));
         assert_eq!(snap.counter("verify.checks.plan"), Some(1));
+        assert_eq!(snap.counter("verify.checks.proj"), Some(1));
         assert_eq!(snap.counter("verify.checks.simd"), Some(1));
         assert_eq!(snap.counter("verify.checks.sim"), Some(1));
         assert_eq!(snap.counter("verify.violations"), None);
@@ -678,6 +740,49 @@ mod tests {
             .timings
             .iter()
             .any(|(n, _)| n == "verify.solve.reference"));
+    }
+
+    #[test]
+    fn projection_allowance_scales_with_the_unshift_magnitude() {
+        let case = simple_case();
+        let model = case.build().unwrap();
+        let sol = moments(&model, case.order, case.t, &SolverConfig::default()).unwrap();
+        assert!(sol.stats.shift < 0.0, "the case has a negative drift");
+        let allowance = projection_allowance(&sol, model.n_states());
+        let g = sol.stats.iterations as f64;
+        let u = f64::EPSILON / 2.0;
+        // Order 0 has no un-shift: the magnitude is the moment itself.
+        assert_eq!(
+            allowance[0],
+            2.0 * (3.0 + 2.0 * g) * u * sol.weighted[0].abs()
+        );
+        for j in 1..=case.order {
+            let plain = 2.0 * (3.0 + g * (j + 2) as f64) * u * sol.weighted[j].abs();
+            assert!(
+                allowance[j] > plain,
+                "order {j}: {} vs {plain}",
+                allowance[j]
+            );
+            assert!(
+                allowance[j] < 1e-9 * sol.weighted[j].abs().max(1.0),
+                "order {j}"
+            );
+        }
+        // A one-ulp nudge passes; a relative 1e-9 error does not.
+        let mut close = sol.weighted.clone();
+        close[2] = f64::from_bits(close[2].to_bits() + 1);
+        assert!(compare_bounded("rnd-proj", &sol.weighted, &close, |n| (
+            allowance[n],
+            String::new()
+        ))
+        .is_ok());
+        let mut far = sol.weighted.clone();
+        far[2] *= 1.0 + 1e-9;
+        assert!(compare_bounded("rnd-proj", &sol.weighted, &far, |n| (
+            allowance[n],
+            String::new()
+        ))
+        .is_err());
     }
 
     #[test]

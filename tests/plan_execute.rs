@@ -1,7 +1,8 @@
 //! Integration contract of the plan/execute split: a prebuilt
-//! [`SolvePlan`] must answer bit-for-bit identically to the cold
-//! one-shot solvers, whatever storage format or thread count the plan
-//! was built with, and however many times it is re-executed.
+//! [`SolvePlan`]'s per-state execute must answer bit-for-bit identically
+//! to the cold one-shot solvers, and its projected execute bit-for-bit
+//! identically to a cold plan's, whatever storage format or thread count
+//! the plan was built with, and however many times it is re-executed.
 
 use somrm::linalg::MatrixFormat;
 use somrm::model::SecondOrderMrm;
@@ -60,11 +61,17 @@ fn assert_bitwise(label: &str, a: &[f64], b: &[f64]) {
 fn plan_execute_is_bitwise_identical_to_cold_sweep() {
     let model = asymmetric_model();
     let times = [0.1, 0.45, 0.8, 2.0];
+    // The projected answer of the first (serial CSR) cold plan: every
+    // other format, thread count and warm pass must reproduce it.
+    let projected = SolvePlan::build(&model, 3, &configs()[0].1)
+        .unwrap()
+        .execute(&times, 3)
+        .unwrap();
     for (label, cfg) in configs() {
         let cold = moments_sweep(&model, 3, &times, &cfg).unwrap();
         let plan = SolvePlan::build(&model, 3, &cfg).unwrap();
         for pass in 0..2 {
-            let warm = plan.execute(&times, 3).unwrap();
+            let warm = plan.execute_per_state(&times, 3).unwrap();
             for (c, w) in cold.iter().zip(&warm) {
                 assert_bitwise(
                     &format!("{label} pass {pass} t={}", c.t),
@@ -74,6 +81,20 @@ fn plan_execute_is_bitwise_identical_to_cold_sweep() {
                 assert_bitwise(
                     &format!("{label} pass {pass} t={} bounds", c.t),
                     &c.error_bounds,
+                    &w.error_bounds,
+                );
+                assert_eq!(c.per_state, w.per_state, "{label} pass {pass} t={}", c.t);
+            }
+            let warm = plan.execute(&times, 3).unwrap();
+            for (p, w) in projected.iter().zip(&warm) {
+                assert_bitwise(
+                    &format!("{label} pass {pass} t={} projected", p.t),
+                    &p.weighted,
+                    &w.weighted,
+                );
+                assert_bitwise(
+                    &format!("{label} pass {pass} t={} projected bounds", p.t),
+                    &p.error_bounds,
                     &w.error_bounds,
                 );
             }
@@ -108,11 +129,23 @@ fn plan_survives_interleaved_grids_and_orders() {
         (vec![1.0], 3),
         (vec![0.5], 4),
     ] {
-        let warm = plan.execute(&times, order).unwrap();
+        let warm = plan.execute_per_state(&times, order).unwrap();
         let cold = moments_sweep(&model, order, &times, &cfg).unwrap();
         for (c, w) in cold.iter().zip(&warm) {
             assert_bitwise(
                 &format!("order {order} t={}", c.t),
+                &c.weighted[..=order],
+                &w.weighted[..=order],
+            );
+        }
+        let warm = plan.execute(&times, order).unwrap();
+        let cold = SolvePlan::build(&model, order, &cfg)
+            .unwrap()
+            .execute(&times, order)
+            .unwrap();
+        for (c, w) in cold.iter().zip(&warm) {
+            assert_bitwise(
+                &format!("projected order {order} t={}", c.t),
                 &c.weighted[..=order],
                 &w.weighted[..=order],
             );

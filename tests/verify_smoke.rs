@@ -18,6 +18,8 @@ fn differential_oracle_smoke_tier() {
     // still cover a healthy share or the tier verifies nothing.
     assert_eq!(summary.dia_checked, 50);
     assert_eq!(summary.pool_checked, 50);
+    assert_eq!(summary.plan_checked, 50);
+    assert_eq!(summary.proj_checked, 50);
     assert!(
         summary.ode_checked >= 25,
         "ODE budget skipped too much: {}",
@@ -42,4 +44,5 @@ fn differential_oracle_deep_tier() {
     let summary = run_verification(&opts);
     assert!(summary.passed(), "{}", summary.render());
     assert_eq!(summary.ode_checked, 500);
+    assert_eq!(summary.proj_checked, 500);
 }
