@@ -45,6 +45,6 @@ pub mod uniformization;
 
 pub use error::MrmError;
 pub use model::SecondOrderMrm;
+pub use plan::{model_digest, plan_digest, SolvePlan};
 pub use somrm_linalg::ModelStructure;
-pub use plan::{model_digest, SolvePlan};
 pub use uniformization::{moments as solve_moments, MomentSolution, SolverConfig, SolverStats};

@@ -13,6 +13,10 @@ use somrm_ctmc::Generator;
 use somrm_linalg::ModelStructure;
 use std::sync::Arc;
 
+/// Absolute tolerance of the initial-distribution check (per entry
+/// below zero, and per state on the total mass).
+pub(crate) const DISTRIBUTION_TOLERANCE: f64 = 1e-9;
+
 /// A second-order Markov reward model `(Q, R, S, π)`.
 ///
 /// The first-order (ordinary) Markov reward model is the special case
@@ -55,10 +59,7 @@ pub struct SecondOrderMrm {
 /// annotation either).
 impl PartialEq for SecondOrderMrm {
     fn eq(&self, other: &SecondOrderMrm) -> bool {
-        self.generator == other.generator
-            && self.rates == other.rates
-            && self.variances == other.variances
-            && self.initial == other.initial
+        self.same_plan_inputs(other) && self.initial == other.initial
     }
 }
 
@@ -104,7 +105,7 @@ impl SecondOrderMrm {
                 return Err(MrmError::InvalidVariance { state: i, value: s });
             }
         }
-        validate_distribution(&initial, 1e-9)?;
+        validate_distribution(&initial, DISTRIBUTION_TOLERANCE)?;
         Ok(SecondOrderMrm {
             generator,
             rates,
@@ -112,6 +113,15 @@ impl SecondOrderMrm {
             initial,
             structure: None,
         })
+    }
+
+    /// `true` when `other` has the same generator, drifts and variances
+    /// — everything a [`crate::SolvePlan`] is built from — whatever its
+    /// initial distribution.
+    pub fn same_plan_inputs(&self, other: &SecondOrderMrm) -> bool {
+        self.generator == other.generator
+            && self.rates == other.rates
+            && self.variances == other.variances
     }
 
     /// Builds a first-order (deterministic-accumulation) model:

@@ -13,14 +13,21 @@
 //! - the [`IterationMatrix`] (CSR or banded DIA, selected once),
 //! - the substochastic `R'` and `½S'` diagonals,
 //! - the [`WorkerPool`], whose threads stay parked between executes,
-//! - a FNV-1a content digest for cache keying ([`model_digest`]).
+//! - a FNV-1a content digest for cache keying ([`plan_digest`]).
+//!
+//! None of it depends on the initial distribution `π`: by Theorem 3,
+//! `π·V⁽ʲ⁾(t) = j!·dʲ·Σ_k w_k(t)·(π·U⁽ʲ⁾(k))` with a `U`-recursion that
+//! sees neither `π` nor `t`. So one plan serves every `π` over its
+//! generator and rewards, and [`SolvePlan::execute_for`] answers several
+//! `π` from one sweep.
 //!
 //! [`SolvePlan::execute`] then performs only the per-query work: the
-//! Theorem-4 truncation search for the *requested* time grid, the
-//! Poisson windows, the fused `U`-recursion, and assembly. Crucially the
-//! truncation point is recomputed per execute — a plan-wide `G` would
-//! keep extra non-zero Poisson weights alive for small times and break
-//! the bitwise guarantee below.
+//! Theorem-4 truncation search for the *requested* time grid
+//! ([`SolvePlan::truncation`]), the Poisson windows, the fused
+//! `U`-recursion, and assembly. Crucially the truncation point is
+//! recomputed per execute — a plan-wide `G` would keep extra non-zero
+//! Poisson weights alive for small times and break the bitwise
+//! guarantee below.
 //!
 //! # Bitwise contract
 //!
@@ -33,17 +40,20 @@
 //! per-state accumulators) sums the same series in a different order, so
 //! it matches the per-state path to rounding, not bitwise. Within a
 //! kernel variant it is bit-identical across matrix formats, thread
-//! counts, and warm or cold plans. The verify crate enforces both
-//! contracts as oracle arms (`rnd-plan`, `rnd-plan-warm`, `rnd-proj`).
+//! counts, and warm or cold plans. `execute_for(&[π_a, π_b], ..)[p]` is
+//! bit-identical to `execute` on the plan of `model.with_initial(π_p)`.
+//! The verify crate enforces these contracts as oracle arms
+//! (`rnd-plan`, `rnd-plan-warm`, `rnd-proj`).
 
 use crate::error::MrmError;
-use crate::model::SecondOrderMrm;
+use crate::model::{SecondOrderMrm, DISTRIBUTION_TOLERANCE};
 use crate::terminal::terminal_truncation;
 use crate::uniformization::{
     attach_degenerate_report, deterministic_solution, frozen_chain_solution, poisson_accounting,
-    pool_section, truncation_point, unshift_moments, unshift_weighted, validate_times,
+    pool_section, truncation_point, unshift_moments, unshift_weighted, validate_times, weigh,
     MomentSolution, SolverConfig, SolverStats,
 };
+use somrm_ctmc::error::validate_distribution;
 use somrm_linalg::{
     FootprintBytes, FusedMomentKernel, IterationMatrix, LinalgError, MatrixFormat,
     OperatorMatrix, ResolvedKernel, UniformizedBirthDeath, WorkerPool,
@@ -58,11 +68,6 @@ use somrm_obs::{
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// FNV-1a content digest of a model: structure and every parameter, via
-/// the exact bit patterns of the floats. Two models share a digest iff
-/// they solve identically (modulo an astronomically unlikely collision),
-/// which is what a plan cache needs: a mutated model — one rate nudged,
-/// one variance added — changes the digest and misses the cache.
 /// State count above which [`MatrixFormat::Auto`] switches a model
 /// that advertises a structure descriptor to the matrix-free operator
 /// backend. Below it the materialized formats win (DIA's branch-free
@@ -95,36 +100,56 @@ fn format_error(e: LinalgError) -> MrmError {
     }
 }
 
-pub fn model_digest(model: &SecondOrderMrm) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
+/// Running FNV-1a state over little-endian `u64` words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn eat(&mut self, v: u64) {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
         for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(PRIME);
         }
-    };
-    eat(model.n_states() as u64);
-    let (row_ptr, col_idx, values) = model.generator().as_csr().csr_parts();
-    for &p in row_ptr {
-        eat(p as u64);
     }
-    for &c in col_idx {
-        eat(c as u64);
+
+    /// The hash over everything a [`SolvePlan`] is built from: `n`, the
+    /// generator's CSR structure and values, the drifts and the
+    /// variances.
+    fn plan_inputs(model: &SecondOrderMrm) -> Fnv {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.eat(model.n_states() as u64);
+        let (row_ptr, col_idx, values) = model.generator().as_csr().csr_parts();
+        for &p in row_ptr {
+            h.eat(p as u64);
+        }
+        for &c in col_idx {
+            h.eat(c as u64);
+        }
+        for &v in values.iter().chain(model.rates()).chain(model.variances()) {
+            h.eat(v.to_bits());
+        }
+        h
     }
-    for &v in values {
-        eat(v.to_bits());
-    }
-    for &r in model.rates() {
-        eat(r.to_bits());
-    }
-    for &s in model.variances() {
-        eat(s.to_bits());
-    }
+}
+
+/// FNV-1a content digest of what a plan depends on — generator, drifts
+/// and variances, via the exact bit patterns of the floats — and not of
+/// `π`. Two models share it iff one plan serves both (modulo an
+/// astronomically unlikely collision), which is what a plan cache
+/// needs: a mutated model — one rate nudged, one variance added —
+/// changes the digest and misses the cache, while a model differing
+/// only in its initial distribution hits.
+pub fn plan_digest(model: &SecondOrderMrm) -> u64 {
+    Fnv::plan_inputs(model).0
+}
+
+/// [`plan_digest`] continued over the initial distribution `π`: the
+/// digest of the whole model, for per-model accounting.
+pub fn model_digest(model: &SecondOrderMrm) -> u64 {
+    let mut h = Fnv::plan_inputs(model);
     for &p in model.initial() {
-        eat(p.to_bits());
+        h.eat(p.to_bits());
     }
-    h
+    h.0
 }
 
 /// Model- and config-dependent solver state reusable across executes.
@@ -180,7 +205,7 @@ impl SolvePlan {
     ) -> Result<SolvePlan, MrmError> {
         let n_states = model.n_states();
         config.validate(n_states)?;
-        let digest = model_digest(model);
+        let digest = plan_digest(model);
         let q = model.generator().uniformization_rate();
         let shift = model.min_rate().min(0.0);
         let shifted_rates: Vec<f64> = model.rates().iter().map(|&r| r - shift).collect();
@@ -308,7 +333,8 @@ impl SolvePlan {
         IterationMatrix::try_with_format(q_prime, format).map_err(format_error)
     }
 
-    /// FNV-1a content digest of the planned model (cache key material).
+    /// The π-free [`plan_digest`] of the planned model (cache key
+    /// material).
     pub fn digest(&self) -> u64 {
         self.digest
     }
@@ -346,7 +372,9 @@ impl SolvePlan {
         self.shift
     }
 
-    /// The planned model.
+    /// The model the plan was built from. Its `π` is the one
+    /// [`SolvePlan::execute`] weights with; [`SolvePlan::execute_for`]
+    /// takes others.
     pub fn model(&self) -> &SecondOrderMrm {
         &self.model
     }
@@ -379,6 +407,27 @@ impl SolvePlan {
             .map(|m| m.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
     }
 
+    /// Theorem-4 truncation of a sweep to horizon `t_max` at `order`: the
+    /// iteration count `G` and the realized per-order bounds that any
+    /// execute whose largest time is `t_max` runs with. Plans that never
+    /// run the recursion (`q = 0` or `d = 0`) answer `(0, zeros)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MrmError::InvalidParameter`] for a negative/non-finite
+    /// `t_max` or `order > max_order`, and
+    /// [`MrmError::TruncationCapExceeded`] when `G` would pass the
+    /// configured iteration cap — exactly the error such an execute
+    /// returns.
+    pub fn truncation(&self, t_max: f64, order: usize) -> Result<(u64, Vec<f64>), MrmError> {
+        self.check_order(order)?;
+        validate_times(std::slice::from_ref(&t_max))?;
+        if self.q == 0.0 || self.d == 0.0 {
+            return Ok((0, vec![0.0; order + 1]));
+        }
+        truncation_point(self.q * t_max, self.d, order, &self.config)
+    }
+
     /// π-weighted moments at several time points in one pass of the
     /// `U`-recursion, *projected*: each pass records only the scalars
     /// `c⁽ʲ⁾(k) = π·U⁽ʲ⁾(k)`, and `π·V⁽ʲ⁾(t) = j!·dʲ·Σ_k w_k(t)·c⁽ʲ⁾(k)`
@@ -389,14 +438,48 @@ impl SolvePlan {
     ///
     /// `weighted` agrees with the per-state path to rounding, not
     /// bitwise, and is bit-identical across storage formats, thread
-    /// counts, and warm or cold plans within a kernel variant.
+    /// counts, and warm or cold plans within a kernel variant. This is
+    /// [`SolvePlan::execute_for`] with the plan model's own `π`.
     ///
     /// # Errors
     ///
     /// Returns [`MrmError::InvalidParameter`] for a negative/non-finite
     /// time, `order > max_order`, or if the iteration cap is exceeded.
     pub fn execute(&self, times: &[f64], order: usize) -> Result<Vec<MomentSolution>, MrmError> {
-        self.sweep(times, order, true)
+        let mut out = self.execute_for(&[self.model.initial()], times, order)?;
+        Ok(out.remove(0))
+    }
+
+    /// [`SolvePlan::execute`] for several initial distributions at once:
+    /// `result[p][ti]` holds the moments under `initials[p]` at
+    /// `times[ti]`. The recursion runs once; each extra `π` costs one
+    /// more dot per row block and order per pass. `result[p]` is
+    /// bit-identical to `execute` on a plan of
+    /// `model.with_initial(initials[p])` over the same grid and order.
+    ///
+    /// # Errors
+    ///
+    /// As [`SolvePlan::execute`], plus [`MrmError::DimensionMismatch`]
+    /// for a `π` of the wrong length and [`MrmError::Ctmc`] for one that
+    /// is not a distribution (the model's own check: finite entries,
+    /// none below `-1e-9`, total mass 1).
+    pub fn execute_for(
+        &self,
+        initials: &[&[f64]],
+        times: &[f64],
+        order: usize,
+    ) -> Result<Vec<Vec<MomentSolution>>, MrmError> {
+        for pi in initials {
+            if pi.len() != self.n_states() {
+                return Err(MrmError::DimensionMismatch {
+                    what: "initial distribution",
+                    expected: self.n_states(),
+                    actual: pi.len(),
+                });
+            }
+            validate_distribution(pi, DISTRIBUTION_TOLERANCE)?;
+        }
+        self.sweep(initials, times, order, true)
     }
 
     /// Moments at several time points in one pass of the `U`-recursion,
@@ -414,21 +497,24 @@ impl SolvePlan {
         times: &[f64],
         order: usize,
     ) -> Result<Vec<MomentSolution>, MrmError> {
-        self.sweep(times, order, false)
+        let mut out = self.sweep(&[self.model.initial()], times, order, false)?;
+        Ok(out.remove(0))
     }
 
-    /// The shared sweep of [`SolvePlan::execute`] (`projected`) and
-    /// [`SolvePlan::execute_per_state`].
+    /// The shared sweep of [`SolvePlan::execute_for`] (`projected`, any
+    /// number of `π`) and [`SolvePlan::execute_per_state`] (one `π`).
+    /// Returns one solution vector per `π`.
     fn sweep(
         &self,
+        initials: &[&[f64]],
         times: &[f64],
         order: usize,
         projected: bool,
-    ) -> Result<Vec<MomentSolution>, MrmError> {
+    ) -> Result<Vec<Vec<MomentSolution>>, MrmError> {
         self.check_order(order)?;
         validate_times(times)?;
-        if times.is_empty() {
-            return Ok(Vec::new());
+        if times.is_empty() || initials.is_empty() {
+            return Ok(initials.iter().map(|_| Vec::new()).collect());
         }
         let model = &self.model;
         let config = &self.config;
@@ -439,49 +525,67 @@ impl SolvePlan {
         let _execute = rec.span("plan.execute");
         rec.counter_add("plan.executes", 1);
         let n_states = model.n_states();
+        let (n_times, order1) = (times.len(), order + 1);
         let (q, d, shift) = (self.q, self.d, self.shift);
         let ev = &config.events;
         if ev.enabled() {
             ev.emit(&Event::SolveStart {
                 order: order as u64,
                 n_states: n_states as u64,
-                n_times: times.len() as u64,
+                n_times: n_times as u64,
             });
         }
-        let strip = |mut s: MomentSolution| {
-            if projected {
-                s.per_state = Vec::new();
-            }
-            s
-        };
 
-        if q == 0.0 {
-            let mut solutions: Vec<MomentSolution> = times
+        if q == 0.0 || d == 0.0 {
+            // Exact paths, no recursion: per-state moments once per
+            // time, weighted per π. (`d = 0` moments are deterministic,
+            // `(řt)ʲ` whatever the distribution.)
+            let base: Vec<MomentSolution> = times
                 .iter()
-                .map(|&t| strip(frozen_chain_solution(model, order, t)))
+                .map(|&t| {
+                    if q == 0.0 {
+                        frozen_chain_solution(model, order, t)
+                    } else {
+                        deterministic_solution(model, order, t, shift)
+                    }
+                })
                 .collect();
-            attach_degenerate_report(&mut solutions, model, config, order, 0.0, 0.0, 0.0);
+            let (report_q, report_shift) = if q == 0.0 { (0.0, 0.0) } else { (q, shift) };
+            let out = initials
+                .iter()
+                .map(|pi| {
+                    let mut solutions: Vec<MomentSolution> = base
+                        .iter()
+                        .map(|s| {
+                            let mut s = s.clone();
+                            if q == 0.0 {
+                                s.weighted = weigh(&s.per_state, pi);
+                            }
+                            if projected {
+                                s.per_state = Vec::new();
+                            }
+                            s
+                        })
+                        .collect();
+                    attach_degenerate_report(
+                        &mut solutions,
+                        model,
+                        config,
+                        order,
+                        report_q,
+                        0.0,
+                        report_shift,
+                    );
+                    solutions
+                })
+                .collect();
             if ev.enabled() {
                 ev.emit(&Event::Complete {
                     g: 0,
                     error_bound: 0.0,
                 });
             }
-            return Ok(solutions);
-        }
-        if d == 0.0 {
-            let mut solutions: Vec<MomentSolution> = times
-                .iter()
-                .map(|&t| strip(deterministic_solution(model, order, t, shift)))
-                .collect();
-            attach_degenerate_report(&mut solutions, model, config, order, q, 0.0, shift);
-            if ev.enabled() {
-                ev.emit(&Event::Complete {
-                    g: 0,
-                    error_bound: 0.0,
-                });
-            }
-            return Ok(solutions);
+            return Ok(out);
         }
         let pk = self.kernel.as_ref().expect("kernel built whenever q > 0");
         let matrix = &pk.matrix;
@@ -502,7 +606,7 @@ impl SolvePlan {
         let t_max = times.iter().copied().fold(0.0, f64::max);
         let qt = q * t_max;
         let (g_limit, error_bounds) =
-            rec.time("solve.truncation", || truncation_point(qt, d, order, config))?;
+            rec.time("solve.truncation", || self.truncation(t_max, order))?;
         let error_bound = error_bounds.iter().copied().fold(0.0, f64::max);
         if ev.enabled() {
             ev.emit(&Event::Truncation {
@@ -565,7 +669,7 @@ impl SolvePlan {
             &pk.r_prime,
             &pk.s_half,
             order,
-            if projected { 0 } else { times.len() },
+            if projected { 0 } else { n_times },
             &u0,
             pool_guard.as_deref_mut(),
         );
@@ -579,12 +683,12 @@ impl SolvePlan {
             }
         };
         record_kernel_bytes(&kernel);
-        // Projected: `sums[ti·(order+1) + j]` accumulates Σ_k w_k·c⁽ʲ⁾(k).
-        // π is attached at the first iteration any time point weighs
-        // (the leftmost Poisson window edge); the passes before it only
-        // advance.
+        // Projected: `sums[(p·times + ti)·(order+1) + j]` accumulates
+        // Σ_k w_k·c_p⁽ʲ⁾(k) for `π_p`. The π are attached at the first
+        // iteration any time point weighs (the leftmost Poisson window
+        // edge); the passes before it only advance.
         let sums_len = if projected {
-            times.len() * (order + 1)
+            initials.len() * n_times * order1
         } else {
             0
         };
@@ -619,15 +723,18 @@ impl SolvePlan {
                 }
                 if projected {
                     if project_from == Some(k) {
-                        kernel.set_projection(model.initial());
+                        kernel.set_projections(initials);
                         record_kernel_bytes(&kernel);
                     }
-                    // `projected()` is π·U(k) here; the step advances
-                    // it to π·U(k+1).
+                    // `projected(p)` is π_p·U(k) here; the step advances
+                    // it to π_p·U(k+1).
                     for &(ti, wk) in &active {
-                        let c = kernel.projected();
-                        for (sum, &cj) in sums[ti * (order + 1)..].iter_mut().zip(c) {
-                            sum.add(wk * cj);
+                        for p in 0..initials.len() {
+                            let c = kernel.projected(p);
+                            let cell = (p * n_times + ti) * order1;
+                            for (sum, &cj) in sums[cell..cell + order1].iter_mut().zip(c) {
+                                sum.add(wk * cj);
+                            }
                         }
                     }
                     kernel.step(&[], k < g_limit);
@@ -673,7 +780,7 @@ impl SolvePlan {
                     h.observe_compensation(a.raw_sum(), a.compensation());
                 }
             } else {
-                for ti in 0..times.len() {
+                for ti in 0..n_times {
                     for j in 0..=order {
                         for a in kernel.accumulated(ti, j) {
                             h.observe_compensation(a.raw_sum(), a.compensation());
@@ -690,75 +797,32 @@ impl SolvePlan {
             iterations: g_limit,
             error_bound,
         };
-        let mut solutions: Vec<MomentSolution> = rec.time("solve.assemble", || {
-            times
+        let mut solutions: Vec<Vec<MomentSolution>> = rec.time("solve.assemble", || {
+            initials
                 .iter()
                 .enumerate()
-                .map(|(ti, &t)| {
-                    if projected {
-                        let weighted = if t == 0.0 {
-                            // Same arithmetic as weighting the per-state
-                            // δ-moments below.
-                            (0..=order)
-                                .map(|j| {
-                                    let v = if j == 0 { 1.0 } else { 0.0 };
-                                    model.initial().iter().map(|&p| v * p).sum()
-                                })
-                                .collect()
-                        } else {
-                            let shifted: Vec<f64> = sums[ti * (order + 1)..][..=order]
-                                .iter()
-                                .enumerate()
-                                .map(|(j, a)| {
-                                    (ln_factorial(j as u64) + j as f64 * d.ln()).exp() * a.value()
-                                })
-                                .collect();
-                            unshift_weighted(&shifted, shift, t)
-                        };
-                        return MomentSolution {
-                            t,
-                            per_state: Vec::new(),
-                            weighted,
-                            stats,
-                            error_bounds: error_bounds.clone(),
-                            report: None,
-                        };
-                    }
-                    let shifted_moments: Vec<Vec<f64>> = if t == 0.0 {
-                        (0..=order)
-                            .map(|j| vec![if j == 0 { 1.0 } else { 0.0 }; n_states])
-                            .collect()
-                    } else {
-                        (0..=order)
-                            .map(|j| {
-                                let scale =
-                                    (ln_factorial(j as u64) + j as f64 * d.ln()).exp();
-                                kernel
-                                    .accumulated(ti, j)
-                                    .iter()
-                                    .map(|a| scale * a.value())
-                                    .collect()
-                            })
-                            .collect()
-                    };
-                    let per_state = unshift_moments(&shifted_moments, shift, t);
-                    let weighted = (0..=order)
-                        .map(|j| {
-                            per_state[j]
-                                .iter()
-                                .zip(model.initial())
-                                .map(|(&v, &p)| v * p)
-                                .sum()
+                .map(|(p, pi)| {
+                    times
+                        .iter()
+                        .enumerate()
+                        .map(|(ti, &t)| {
+                            let (per_state, weighted) = if projected {
+                                let cell = (p * n_times + ti) * order1;
+                                let sums = &sums[cell..cell + order1];
+                                (Vec::new(), self.assemble_projected(sums, pi, t))
+                            } else {
+                                self.assemble_per_state(&kernel, ti, pi, order, t)
+                            };
+                            MomentSolution {
+                                t,
+                                per_state,
+                                weighted,
+                                stats,
+                                error_bounds: error_bounds.clone(),
+                                report: None,
+                            }
                         })
-                        .collect();
-                    MomentSolution {
-                        t,
-                        per_state,
-                        weighted,
-                        stats,
-                        error_bounds: error_bounds.clone(),
-                        report: None,
-                    }
+                        .collect()
                 })
                 .collect()
         });
@@ -776,7 +840,7 @@ impl SolvePlan {
                     epsilon: config.epsilon,
                     order,
                     n_states,
-                    n_times: times.len(),
+                    n_times,
                     threads: kernel.threads(),
                     kernel_variant: variant.name().to_string(),
                     error_bound,
@@ -788,7 +852,7 @@ impl SolvePlan {
                 mem: self.mem.as_ref().map(|l| l.section()),
                 metrics: rec.snapshot().unwrap_or_default(),
             });
-            for s in &mut solutions {
+            for s in solutions.iter_mut().flatten() {
                 s.report = Some(Arc::clone(&report));
             }
         }
@@ -799,6 +863,57 @@ impl SolvePlan {
             });
         }
         Ok(solutions)
+    }
+
+    /// `π·V⁽ʲ⁾(t)` for `j = 0 ..= order` from the projected sums
+    /// `Σ_k w_k·c⁽ʲ⁾(k)` of one `(π, t)` cell.
+    fn assemble_projected(&self, sums: &[NeumaierSum], pi: &[f64], t: f64) -> Vec<f64> {
+        if t == 0.0 {
+            // Same arithmetic as weighting the per-state δ-moments.
+            return (0..sums.len())
+                .map(|j| {
+                    let v = if j == 0 { 1.0 } else { 0.0 };
+                    pi.iter().map(|&p| v * p).sum()
+                })
+                .collect();
+        }
+        let shifted: Vec<f64> = sums
+            .iter()
+            .enumerate()
+            .map(|(j, a)| (ln_factorial(j as u64) + j as f64 * self.d.ln()).exp() * a.value())
+            .collect();
+        unshift_weighted(&shifted, self.shift, t)
+    }
+
+    /// Per-state moments at time index `ti` from the kernel's
+    /// accumulators, and their `π`-weighted sums.
+    fn assemble_per_state(
+        &self,
+        kernel: &FusedMomentKernel,
+        ti: usize,
+        pi: &[f64],
+        order: usize,
+        t: f64,
+    ) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let shifted_moments: Vec<Vec<f64>> = if t == 0.0 {
+            (0..=order)
+                .map(|j| vec![if j == 0 { 1.0 } else { 0.0 }; self.n_states()])
+                .collect()
+        } else {
+            (0..=order)
+                .map(|j| {
+                    let scale = (ln_factorial(j as u64) + j as f64 * self.d.ln()).exp();
+                    kernel
+                        .accumulated(ti, j)
+                        .iter()
+                        .map(|a| scale * a.value())
+                        .collect()
+                })
+                .collect()
+        };
+        let per_state = unshift_moments(&shifted_moments, self.shift, t);
+        let weighted = weigh(&per_state, pi);
+        (per_state, weighted)
     }
 
     /// Terminal-weighted moments — the per-query half of
@@ -851,15 +966,7 @@ impl SolvePlan {
                         .collect()
                 })
                 .collect();
-            let weighted = (0..=order)
-                .map(|n| {
-                    per_state[n]
-                        .iter()
-                        .zip(model.initial())
-                        .map(|(&v, &p)| v * p)
-                        .sum()
-                })
-                .collect();
+            let weighted = weigh(&per_state, model.initial());
             return Ok(MomentSolution {
                 t,
                 per_state,
@@ -1045,15 +1152,7 @@ impl SolvePlan {
                 })
                 .collect()
         };
-        let weighted = (0..=order)
-            .map(|j| {
-                per_state[j]
-                    .iter()
-                    .zip(model.initial())
-                    .map(|(&v, &p)| v * p)
-                    .sum()
-            })
-            .collect();
+        let weighted = weigh(&per_state, model.initial());
         drop(_assemble);
         let report = rec.enabled().then(|| {
             Arc::new(SolveReport {
@@ -1164,6 +1263,133 @@ mod tests {
         assert_ne!(base, model_digest(&mutated), "1-ulp rate change must re-key");
         let redistributed = m.clone().with_initial(vec![0.0, 1.0, 0.0, 0.0]).unwrap();
         assert_ne!(base, model_digest(&redistributed));
+        // The plan digest covers everything but π.
+        assert_eq!(plan_digest(&m), plan_digest(&redistributed));
+        assert_ne!(plan_digest(&m), plan_digest(&mutated));
+        assert_eq!(
+            SolvePlan::build(&redistributed, 1, &SolverConfig::default())
+                .unwrap()
+                .digest(),
+            plan_digest(&m)
+        );
+    }
+
+    /// `execute_for` over `pis` against one cold plan per π.
+    fn assert_execute_for_matches_cold_plans(
+        m: &SecondOrderMrm,
+        pis: &[Vec<f64>],
+        times: &[f64],
+        config: &SolverConfig,
+    ) {
+        let plan = SolvePlan::build(m, 3, config).unwrap();
+        let refs: Vec<&[f64]> = pis.iter().map(Vec::as_slice).collect();
+        let multi = plan.execute_for(&refs, times, 3).unwrap();
+        assert_eq!(multi.len(), pis.len());
+        for (p, pi) in pis.iter().enumerate() {
+            let own = m.with_initial(pi.clone()).unwrap();
+            let cold = SolvePlan::build(&own, 3, config)
+                .unwrap()
+                .execute(times, 3)
+                .unwrap();
+            assert_eq!(multi[p].len(), times.len());
+            for (a, b) in multi[p].iter().zip(&cold) {
+                assert_eq!(a.t, b.t);
+                assert_eq!(a.weighted, b.weighted, "π {p} t {}", a.t);
+                assert_eq!(a.error_bounds, b.error_bounds);
+                assert_eq!(a.stats.iterations, b.stats.iterations);
+                assert!(a.per_state.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn execute_for_matches_cold_plans_of_each_initial_distribution() {
+        let m = chain(5);
+        let pis = vec![
+            vec![0.0, 0.0, 1.0, 0.0, 0.0],
+            vec![0.2; 5],
+            m.initial().to_vec(),
+        ];
+        let times = [0.0, 0.3, 1.7];
+        for format in [MatrixFormat::Csr, MatrixFormat::Dia, MatrixFormat::Operator] {
+            for threads in [1, 2, 4] {
+                let config = SolverConfig {
+                    format,
+                    threads,
+                    parallel_threshold: 0,
+                    ..SolverConfig::default()
+                };
+                assert_execute_for_matches_cold_plans(&m, &pis, &times, &config);
+            }
+        }
+        // The degenerate paths weight with the given π too: a frozen
+        // chain (q = 0), and a chain whose drifts and variances are all
+        // zero after the shift (d = 0).
+        let frozen = SecondOrderMrm::new(
+            GeneratorBuilder::new(2).build().unwrap(),
+            vec![1.0, -1.0],
+            vec![0.5, 0.0],
+            vec![0.5, 0.5],
+        )
+        .unwrap();
+        let cfg = SolverConfig::default();
+        let pis = vec![vec![1.0, 0.0], vec![0.25, 0.75]];
+        assert_execute_for_matches_cold_plans(&frozen, &pis, &[0.0, 1.0], &cfg);
+        let flat = SecondOrderMrm::new(
+            chain(3).generator().clone(),
+            vec![-0.5; 3],
+            vec![0.0; 3],
+            vec![1.0, 0.0, 0.0],
+        )
+        .unwrap();
+        assert_eq!(SolvePlan::build(&flat, 1, &cfg).unwrap().d(), 0.0);
+        let pis = vec![vec![0.0, 0.0, 1.0], vec![0.5, 0.5, 0.0]];
+        assert_execute_for_matches_cold_plans(&flat, &pis, &[0.6], &cfg);
+    }
+
+    #[test]
+    fn execute_for_validates_every_initial_distribution() {
+        let plan = SolvePlan::build(&chain(3), 2, &SolverConfig::default()).unwrap();
+        let ok = [1.0, 0.0, 0.0];
+        let cases: [&[f64]; 4] = [
+            &[1.0, 0.0],
+            &[0.5, f64::NAN, 0.5],
+            &[1.5, -0.5, 0.0],
+            &[0.5, 0.0, 0.0],
+        ];
+        for bad in cases {
+            assert!(
+                plan.execute_for(&[&ok, bad], &[0.5], 2).is_err(),
+                "accepted {bad:?}"
+            );
+        }
+        assert!(matches!(
+            plan.execute_for(&[&ok, &[1.0]], &[0.5], 2),
+            Err(MrmError::DimensionMismatch {
+                expected: 3,
+                actual: 1,
+                ..
+            })
+        ));
+        assert!(plan.execute_for(&[], &[0.5], 2).unwrap().is_empty());
+        let none = plan.execute_for(&[&ok, &ok], &[], 2).unwrap();
+        assert_eq!(none.len(), 2);
+        assert!(none.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn truncation_is_what_an_execute_runs() {
+        let plan = SolvePlan::build(&chain(4), 3, &SolverConfig::default()).unwrap();
+        let sol = plan.execute(&[0.2, 1.4], 2).unwrap();
+        let (g, bounds) = plan.truncation(1.4, 2).unwrap();
+        assert_eq!(g, sol[0].stats.iterations);
+        assert_eq!(bounds, sol[0].error_bounds);
+        assert!(plan.truncation(1.4, 4).is_err(), "above max_order");
+        assert!(plan.truncation(-1.0, 2).is_err());
+        assert!(matches!(
+            plan.truncation(1e12, 2),
+            Err(MrmError::TruncationCapExceeded { .. })
+        ));
     }
 
     #[test]
@@ -1599,6 +1825,15 @@ mod tests {
             kb,
             (2 * order1 * n * 8 + order1 * n.div_ceil(2048) * 8) as u64
         );
+        // Two π in one sweep: one more partial per block and order.
+        let uniform = vec![1.0 / n as f64; n];
+        plan.execute_for(&[m.initial(), &uniform], &[0.5, 0.7], 2)
+            .unwrap();
+        assert_eq!(
+            ledger.current(MemCategory::KernelBuffers),
+            (2 * order1 * n * 8 + 2 * order1 * n.div_ceil(2048) * 8) as u64
+        );
+        plan.execute(&[0.5, 0.7], 2).unwrap();
         let snap = reg.snapshot();
         assert_eq!(snap.gauge("mem.kernel.buffers"), Some(kb as f64));
         assert_eq!(

@@ -544,29 +544,26 @@ pub(crate) fn truncation_point(
             .fold(f64::NEG_INFINITY, f64::max)
     };
 
-    // Exponential search for an upper bracket, then bisection. The cap
-    // must be checked *before* the first bound evaluation: for any
-    // meaningful ε the search cannot terminate below ~qt (the Poisson
-    // mass sits at the mode), and evaluating the bound left of the mode
-    // costs O(qt) — at qt beyond the cap that is an effective hang
-    // (hours of CDF summation) where a typed error is owed instead.
-    let mut hi = (qt as u64).max(16);
-    if hi > config.max_iterations && config.epsilon < 1.0 {
-        return Err(MrmError::TruncationCapExceeded {
-            qt,
-            cap: config.max_iterations,
-        });
+    // Exponential search for an upper bracket, clamped at the cap, then
+    // bisection. A `qt` beyond the cap is refused before the first bound
+    // evaluation: for any meaningful ε the search cannot terminate below
+    // ~qt (the Poisson mass sits at the mode), and evaluating the bound
+    // left of the mode costs O(qt) — at qt beyond the cap that is an
+    // effective hang (hours of CDF summation) where a typed error is
+    // owed instead.
+    let cap = config.max_iterations;
+    let exceeded = || MrmError::TruncationCapExceeded { qt, cap };
+    if qt as u64 > cap && config.epsilon < 1.0 {
+        return Err(exceeded());
     }
-    let mut guard = 0;
+    let mut hi = (qt as u64).max(16).min(cap);
     while ln_bound(hi) >= ln_eps {
-        hi = hi.saturating_mul(2);
-        guard += 1;
-        if guard > 64 || hi > config.max_iterations {
-            return Err(MrmError::TruncationCapExceeded {
-                qt,
-                cap: config.max_iterations,
-            });
+        // The bound is monotone in G: failing at the cap means no
+        // admissible G exists.
+        if hi == cap {
+            return Err(exceeded());
         }
+        hi = hi.saturating_mul(2).min(cap);
     }
     let mut lo = 0u64;
     while lo < hi {
@@ -576,15 +573,6 @@ pub(crate) fn truncation_point(
         } else {
             lo = mid + 1;
         }
-    }
-    // The exponential search starts at max(qt, 16), so a small cap can
-    // be exceeded without the doubling loop ever noticing; re-check the
-    // final G explicitly.
-    if hi > config.max_iterations {
-        return Err(MrmError::TruncationCapExceeded {
-            qt,
-            cap: config.max_iterations,
-        });
     }
     let per_order = (0..=order).map(|j| ln_bound_order(hi, j).exp()).collect();
     Ok((hi, per_order))
@@ -615,15 +603,7 @@ pub(crate) fn frozen_chain_solution(
             per_state[n][i] = m[n];
         }
     }
-    let weighted = (0..=order)
-        .map(|n| {
-            per_state[n]
-                .iter()
-                .zip(model.initial())
-                .map(|(&v, &p)| v * p)
-                .sum()
-        })
-        .collect();
+    let weighted = weigh(&per_state, model.initial());
     MomentSolution {
         t,
         per_state,
@@ -638,6 +618,14 @@ pub(crate) fn frozen_chain_solution(
         error_bounds: vec![0.0; order + 1],
         report: None,
     }
+}
+
+/// `π`-weighted moments `Σ_i per_state[j][i]·π_i` for every order `j`.
+pub(crate) fn weigh(per_state: &[Vec<f64>], pi: &[f64]) -> Vec<f64> {
+    per_state
+        .iter()
+        .map(|m| m.iter().zip(pi).map(|(&v, &p)| v * p).sum())
+        .collect()
 }
 
 /// Moments when `B(t) = shift·t` deterministically.
@@ -1105,6 +1093,35 @@ mod tests {
             }
             other => panic!("expected TruncationCapExceeded, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn truncation_accepts_any_cap_at_or_above_the_minimal_g() {
+        // qt = 600 (q = 2, t = 300): the doubling bracket 600 → 1200 used
+        // to cross a cap of 1000 and fail, although the minimal G fits
+        // under it. The bracket now clamps at the cap, so every cap ≥ G
+        // gives the same G and the same bounds, and G − 1 is refused.
+        let m = two_state_model([1.0, 1.0], [1.0, 1.0]);
+        let with_cap = |cap: u64| {
+            let cfg = SolverConfig {
+                max_iterations: cap,
+                ..SolverConfig::default()
+            };
+            moments(&m, 2, 300.0, &cfg)
+        };
+        let free = with_cap(SolverConfig::default().max_iterations).unwrap();
+        let g = free.stats.iterations;
+        assert!(g > 600 && g < 1000, "G = {g}");
+        for cap in [g, 1000, 2000] {
+            let sol = with_cap(cap).unwrap_or_else(|e| panic!("cap {cap}: {e}"));
+            assert_eq!(sol.stats.iterations, g, "cap {cap}");
+            assert_eq!(sol.error_bounds, free.error_bounds, "cap {cap}");
+            assert_eq!(sol.weighted, free.weighted, "cap {cap}");
+        }
+        assert!(matches!(
+            with_cap(g - 1),
+            Err(MrmError::TruncationCapExceeded { cap, .. }) if cap == g - 1
+        ));
     }
 
     #[test]

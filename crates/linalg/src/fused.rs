@@ -43,16 +43,19 @@
 //!
 //! # Projection
 //!
-//! A solver that only needs `π·V⁽ʲ⁾(t)` attaches `π` with
-//! [`FusedMomentKernel::set_projection`] and runs with no time points:
+//! A solver that only needs `π·V⁽ʲ⁾(t)` attaches one or more `π` with
+//! [`FusedMomentKernel::set_projections`] and runs with no time points:
 //! each advancing pass then also records the scalars
-//! `c⁽ʲ⁾ = π·U⁽ʲ⁾(k+1)` ([`FusedMomentKernel::projected`]), computed from
-//! each freshly written `U_{k+1}` block while it is still in cache. The
-//! dot is split into fixed, globally aligned `SIMD_BLOCK`-row partials
-//! (each a [`simd::dot`]) that are reduced in ascending block order
+//! `c_p⁽ʲ⁾ = π_p·U⁽ʲ⁾(k+1)` ([`FusedMomentKernel::projected`]), computed
+//! from each freshly written `U_{k+1}` block while it is still in cache.
+//! The recursion does not depend on `π`, so `K` initial distributions
+//! share one sweep and pay only `K` extra dots per block. Each dot is
+//! split into fixed, globally aligned `SIMD_BLOCK`-row partials (each a
+//! [`simd::dot`]) that are reduced per `π` in ascending block order
 //! after the pass, and a projecting kernel cuts its chunks on block
-//! multiples, so every block partial comes from one thread and `c⁽ʲ⁾` is
-//! bit-identical across thread counts and storage formats.
+//! multiples, so every block partial comes from one thread and each
+//! `c_p⁽ʲ⁾` is bit-identical across thread counts, storage formats, and
+//! the number of projections riding along.
 //!
 //! # Kernel variants
 //!
@@ -117,7 +120,8 @@ enum KernelPool<'a> {
 ///
 /// Layout: `U` vectors are flattened as `u[j·n + i]`; accumulators as
 /// `acc[(ti·(order+1) + j)·n + i]`; projection partials as
-/// `partials[b·(order+1) + j]` for row block `b`.
+/// `partials[(b·K + p)·(order+1) + j]` for row block `b` and projection
+/// `p` of `K`.
 #[derive(Debug)]
 pub struct FusedMomentKernel<'a> {
     matrix: &'a IterationMatrix,
@@ -132,9 +136,9 @@ pub struct FusedMomentKernel<'a> {
     u_cur: Vec<f64>,
     u_next: Vec<f64>,
     acc: Vec<NeumaierSum>,
-    /// The projection vector `π`, when attached.
-    projection: Option<&'a [f64]>,
-    /// Per-block dot partials; the first `order + 1` entries hold the
+    /// The projection vectors `π_p` (empty when not projecting).
+    projections: Vec<&'a [f64]>,
+    /// Per-block dot partials; the first `K·(order + 1)` entries hold the
     /// reduced `π·U⁽ʲ⁾` of the current iterate.
     partials: Vec<f64>,
     recorder: RecorderHandle,
@@ -242,7 +246,7 @@ impl<'a> FusedMomentKernel<'a> {
             u_cur,
             u_next: vec![0.0; (order + 1) * n],
             acc: vec![NeumaierSum::new(); n_times * (order + 1) * n],
-            projection: None,
+            projections: Vec::new(),
             partials: Vec::new(),
             recorder: RecorderHandle::disabled(),
         }
@@ -262,24 +266,28 @@ impl<'a> FusedMomentKernel<'a> {
         self.variant
     }
 
-    /// Attaches the projection vector `π` and projects the current
-    /// iterate; from then on every advancing
+    /// Attaches the projection vectors `π_0 … π_{K−1}` and projects the
+    /// current iterate; from then on every advancing
     /// [`FusedMomentKernel::step`] also projects the iterate it writes,
-    /// so [`FusedMomentKernel::projected`] always holds `π·U⁽ʲ⁾` of the
-    /// iterate [`FusedMomentKernel::u_order`] shows. The result is
-    /// bit-identical across thread counts and storage formats within a
-    /// variant (and between the two variants, given the same iterate).
+    /// so [`FusedMomentKernel::projected`] always holds `π_p·U⁽ʲ⁾` of the
+    /// iterate [`FusedMomentKernel::u_order`] shows. Each `π_p`'s result
+    /// is bit-identical to a kernel carrying `π_p` alone, and across
+    /// thread counts and storage formats within a variant (and between
+    /// the two variants, given the same iterate).
     ///
     /// # Panics
     ///
-    /// Panics if `pi.len()` differs from the state count.
-    pub fn set_projection(&mut self, pi: &'a [f64]) {
-        assert_eq!(pi.len(), self.n, "projection length mismatch");
-        let (n, order1) = (self.n, self.order + 1);
-        self.projection = Some(pi);
-        self.partials = vec![0.0; n.div_ceil(SIMD_BLOCK).max(1) * order1];
-        // The same blocks and dot as a pass, on one thread.
-        for (b, part) in self.partials.chunks_exact_mut(order1).enumerate() {
+    /// Panics if a `π_p` length differs from the state count.
+    pub fn set_projections(&mut self, pis: &[&'a [f64]]) {
+        for pi in pis {
+            assert_eq!(pi.len(), self.n, "projection length mismatch");
+        }
+        let (n, order1, k) = (self.n, self.order + 1, pis.len());
+        self.projections = pis.to_vec();
+        self.partials = vec![0.0; n.div_ceil(SIMD_BLOCK).max(1) * k * order1];
+        // The same blocks and dots as a pass, on one thread.
+        for (bp, part) in self.partials.chunks_exact_mut(order1).enumerate() {
+            let (b, pi) = (bp / k, pis[bp % k]);
             let rows = b * SIMD_BLOCK..((b + 1) * SIMD_BLOCK).min(n);
             for (j, p) in part.iter_mut().enumerate() {
                 *p = simd::dot(
@@ -291,27 +299,29 @@ impl<'a> FusedMomentKernel<'a> {
         self.reduce_partials();
     }
 
-    /// `π·U⁽ʲ⁾` of the current iterate for `j = 0 ..= order`.
+    /// `π_p·U⁽ʲ⁾` of the current iterate for `j = 0 ..= order`.
     ///
     /// # Panics
     ///
-    /// Panics if no projection is attached.
-    pub fn projected(&self) -> &[f64] {
-        assert!(self.projection.is_some(), "no projection attached");
-        &self.partials[..self.order + 1]
+    /// Panics if fewer than `p + 1` projections are attached.
+    pub fn projected(&self, p: usize) -> &[f64] {
+        assert!(p < self.projections.len(), "no projection {p} attached");
+        let order1 = self.order + 1;
+        &self.partials[p * order1..(p + 1) * order1]
     }
 
-    /// Sums the block partials into the first `order + 1` entries, in
-    /// ascending block order on one thread — independent of how the
-    /// blocks were spread over chunks.
+    /// Sums each projection's block partials into its slot among the
+    /// first `K·(order + 1)` entries, in ascending block order on one
+    /// thread — independent of how the blocks were spread over chunks
+    /// and of how many other projections ride along.
     fn reduce_partials(&mut self) {
-        let order1 = self.order + 1;
-        for j in 0..order1 {
-            let mut sum = self.partials[j];
-            for b in 1..self.partials.len() / order1 {
-                sum += self.partials[b * order1 + j];
+        let row = self.projections.len() * (self.order + 1);
+        for pj in 0..row {
+            let mut sum = self.partials[pj];
+            for b in 1..self.partials.len() / row {
+                sum += self.partials[b * row + pj];
             }
-            self.partials[j] = sum;
+            self.partials[pj] = sum;
         }
     }
 
@@ -340,8 +350,8 @@ impl<'a> FusedMomentKernel<'a> {
     /// One fused pass at iteration `k`: adds `wk·U⁽ʲ⁾(k)` into the
     /// accumulators of every `(ti, wk)` in `active`, and, if `advance`,
     /// computes `U⁽ʲ⁾(k+1)` for all `j` in the same sweep (skipped on the
-    /// final iteration `k = G`) — and `π·U⁽ʲ⁾(k+1)` when a projection is
-    /// attached.
+    /// final iteration `k = G`) — and every `π_p·U⁽ʲ⁾(k+1)` when
+    /// projections are attached.
     ///
     /// # Panics
     ///
@@ -370,7 +380,7 @@ impl<'a> FusedMomentKernel<'a> {
             u_cur: &self.u_cur,
             u_next: SyncMutPtr::new(self.u_next.as_mut_ptr()),
             acc: SyncMutPtr::new(self.acc.as_mut_ptr()),
-            projection: self.projection.filter(|_| advance),
+            projections: if advance { &self.projections } else { &[] },
             partials: SyncMutPtr::new(self.partials.as_mut_ptr()),
             active,
             advance,
@@ -378,7 +388,7 @@ impl<'a> FusedMomentKernel<'a> {
         let ctx = &ctx;
         let variant = self.variant;
         let rec = &self.recorder;
-        let projecting = self.projection.is_some();
+        let projecting = !self.projections.is_empty();
         let task = |c: usize| {
             let range = if projecting {
                 block_chunk_range(n, chunks, c)
@@ -449,8 +459,9 @@ impl crate::footprint::FootprintBytes for FusedMomentKernel<'_> {
     /// The kernel's owned working set: the `U` ping-pong pair
     /// (`2·(order+1)·n` doubles), the compensated accumulators
     /// (`n_times·(order+1)·n` [`NeumaierSum`]s) and, when projecting,
-    /// the `(order+1)·⌈n/SIMD_BLOCK⌉` block partials. The matrix, the
-    /// `R'`/`½S'` strips and `π` are borrowed, not owned, and are
+    /// the `K·(order+1)·⌈n/SIMD_BLOCK⌉` block partials of `K` projections.
+    /// The matrix, the `R'`/`½S'` strips and each `π` are borrowed, not
+    /// owned, and are
     /// accounted by their own
     /// [`FootprintBytes`](crate::footprint::FootprintBytes) impls.
     fn footprint_bytes(&self) -> usize {
@@ -471,7 +482,7 @@ struct PassCtx<'c> {
     u_cur: &'c [f64],
     u_next: SyncMutPtr<f64>,
     acc: SyncMutPtr<NeumaierSum>,
-    projection: Option<&'c [f64]>,
+    projections: &'c [&'c [f64]],
     partials: SyncMutPtr<f64>,
     active: &'c [(usize, f64)],
     advance: bool,
@@ -489,23 +500,24 @@ fn block_chunk_range(n: usize, chunks: usize, c: usize) -> Range<usize> {
 }
 
 /// Writes the projection partials of the freshly advanced row block
-/// starting at `blo` (a multiple of [`SIMD_BLOCK`]) for every order.
-/// [`simd::dot`] has a fixed lane association and no fused
-/// multiply-add, so a block's partial has the same bits in either
-/// variant.
+/// starting at `blo` (a multiple of [`SIMD_BLOCK`]) for every
+/// projection and order. [`simd::dot`] has a fixed lane association and
+/// no fused multiply-add, so a block's partial has the same bits in
+/// either variant.
 #[inline(always)]
-fn project_block(ctx: &PassCtx, pi: &[f64], blo: usize, bhi: usize) {
+fn project_block(ctx: &PassCtx, blo: usize, bhi: usize) {
     let n = ctx.n;
+    let k = ctx.projections.len();
     let b = blo / SIMD_BLOCK;
     for j in 0..ctx.order1 {
         // SAFETY: this chunk wrote these rows of `u_next` this pass, and
         // a block belongs to exactly one chunk (block_chunk_range).
-        let dot = unsafe {
-            let next = std::slice::from_raw_parts(ctx.u_next.add(j * n + blo), bhi - blo);
-            simd::dot(&pi[blo..bhi], next)
-        };
-        // SAFETY: as above.
-        unsafe { *ctx.partials.add(b * ctx.order1 + j) = dot };
+        let next = unsafe { std::slice::from_raw_parts(ctx.u_next.add(j * n + blo), bhi - blo) };
+        for (p, pi) in ctx.projections.iter().enumerate() {
+            let dot = simd::dot(&pi[blo..bhi], next);
+            // SAFETY: as above.
+            unsafe { *ctx.partials.add((b * k + p) * ctx.order1 + j) = dot };
+        }
     }
 }
 
@@ -717,11 +729,11 @@ fn scalar_chunk(ctx: &PassCtx, range: Range<usize>) {
             }
         }
     }
-    if let Some(pi) = ctx.projection {
+    if !ctx.projections.is_empty() {
         let mut blo = range.start;
         while blo < range.end {
             let bhi = (blo + SIMD_BLOCK).min(range.end);
-            project_block(ctx, pi, blo, bhi);
+            project_block(ctx, blo, bhi);
             blo = bhi;
         }
     }
@@ -767,8 +779,8 @@ const CSR_PREFETCH_MIN_NNZ_PER_ROW: usize = 8;
 /// every `(time, order)` pair while the `U_k` rows are cache-hot
 /// (vectorized Neumaier, bitwise-equal to the scalar update), then the
 /// advance re-reads the same rows as dot input for order `j` and as
-/// combine input for orders `j+1`/`j+2`, and the projection dot (when
-/// `π` is attached) reads the block just written (a projecting chunk
+/// combine input for orders `j+1`/`j+2`, and the projection dots (when
+/// projections are attached) read the block just written (a projecting chunk
 /// starts on a block multiple, so these blocks are the global ones).
 /// The DIA interior runs 4-wide ([`simd::dot_strips`] +
 /// [`simd::axpy_fma`]); the CSR gather is software-prefetched
@@ -931,8 +943,8 @@ fn simd_chunk_impl(ctx: &PassCtx, range: Range<usize>) {
                 }
             }
         }
-        if let Some(pi) = ctx.projection {
-            project_block(ctx, pi, blo, bhi);
+        if !ctx.projections.is_empty() {
+            project_block(ctx, blo, bhi);
         }
         blo = bhi;
     }
@@ -1219,41 +1231,51 @@ mod tests {
         }
     }
 
-    /// Runs 30 steps, with `π` attached if `project`, plus one time
-    /// point so the accumulators ride along. Returns every iterate's
-    /// projection (each checked against a naive dot of the current
-    /// iterate) and the final accumulators.
+    /// Two projection vectors: a scrambled one and a smooth one.
+    fn test_pis(n: usize) -> [Vec<f64>; 2] {
+        [
+            (0..n)
+                .map(|i| ((i * 7919) % 101) as f64 / (101.0 * n as f64))
+                .collect(),
+            (0..n)
+                .map(|i| (1.0 + (i % 13) as f64) / (7.0 * n as f64))
+                .collect(),
+        ]
+    }
+
+    /// Runs 30 steps with `pis` attached (none: no projection), plus
+    /// one time point so the accumulators ride along. Returns every
+    /// iterate's projections, one sequence per `π` (each value checked
+    /// against a naive dot of the current iterate), and the final
+    /// accumulators.
     fn run_projected(
         m: &CsrMatrix<f64>,
         format: MatrixFormat,
         threads: usize,
         variant: ResolvedKernel,
-        project: bool,
-    ) -> (Vec<f64>, Vec<f64>) {
+        pis: &[&[f64]],
+    ) -> (Vec<Vec<f64>>, Vec<f64>) {
         let n = m.rows();
         let order = 3;
         let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0).collect();
         let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
-        let pi: Vec<f64> = (0..n)
-            .map(|i| ((i * 7919) % 101) as f64 / (101.0 * n as f64))
-            .collect();
         let u0 = vec![1.0; n];
         let im = IterationMatrix::with_format(m.clone(), format);
         let mut k = FusedMomentKernel::new(&im, &r_prime, &s_half, order, 1, &u0, threads);
         k.set_variant(variant);
-        if project {
-            k.set_projection(&pi);
+        if !pis.is_empty() {
+            k.set_projections(pis);
         }
-        let mut projections = Vec::new();
+        let mut projections = vec![Vec::new(); pis.len()];
         for step in 0..=30 {
-            if project {
+            for (p, pi) in pis.iter().enumerate() {
                 let naive: Vec<f64> = (0..=order)
-                    .map(|j| k.u_order(j).iter().zip(&pi).map(|(u, p)| u * p).sum())
+                    .map(|j| k.u_order(j).iter().zip(*pi).map(|(u, w)| u * w).sum())
                     .collect();
-                for (got, want) in k.projected().iter().zip(&naive) {
+                for (got, want) in k.projected(p).iter().zip(&naive) {
                     assert!((got - want).abs() <= 1e-12 * want.abs(), "{got} vs {want}");
                 }
-                projections.extend_from_slice(k.projected());
+                projections[p].extend_from_slice(k.projected(p));
             }
             if step < 30 {
                 k.step(&[(0, 0.5 / (step + 1) as f64)], step < 29);
@@ -1265,6 +1287,17 @@ mod tests {
         (projections, acc)
     }
 
+    fn assert_bits(want: &[f64], got: &[f64], what: &str) {
+        assert_eq!(want.len(), got.len(), "{what}: length");
+        for (i, (a, b)) in want.iter().zip(got).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what}: projection {i}: {a} vs {b}"
+            );
+        }
+    }
+
     #[test]
     fn projection_bitwise_across_formats_and_threads() {
         // Six row blocks, the last one partial: chunks of 2, 4 and 8
@@ -1274,27 +1307,45 @@ mod tests {
         // accumulators.
         let n = 5 * SIMD_BLOCK + 37;
         let m = tridiag_matrix(n);
+        let [pi, _] = test_pis(n);
         for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
-            let (base_proj, base_acc) = run_projected(&m, MatrixFormat::Csr, 1, variant, true);
-            let (_, plain) = run_projected(&m, MatrixFormat::Csr, 3, variant, false);
+            let (base_proj, base_acc) = run_projected(&m, MatrixFormat::Csr, 1, variant, &[&pi]);
+            let (_, plain) = run_projected(&m, MatrixFormat::Csr, 3, variant, &[]);
             assert_eq!(
                 base_acc, plain,
                 "{variant:?}: projection perturbed accumulators"
             );
             for format in [MatrixFormat::Csr, MatrixFormat::Dia, MatrixFormat::Operator] {
                 for threads in [1usize, 2, 4, 8] {
-                    let (proj, acc) = run_projected(&m, format, threads, variant, true);
-                    for (i, (a, b)) in base_proj.iter().zip(&proj).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{variant:?} {format} x{threads}: projection {i}: {a} vs {b}"
-                        );
-                    }
+                    let (proj, acc) = run_projected(&m, format, threads, variant, &[&pi]);
+                    let what = format!("{variant:?} {format} x{threads}");
+                    assert_bits(&base_proj[0], &proj[0], &what);
                     assert_eq!(
                         base_acc, acc,
                         "{variant:?} {format} x{threads}: accumulators"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn k_projections_match_k_single_projection_runs_bitwise() {
+        // Two π ride one sweep: each one's c_k sequence must carry the
+        // bits of a kernel projecting that π alone, on every format and
+        // thread count, in each variant.
+        let n = 5 * SIMD_BLOCK + 37;
+        let m = tridiag_matrix(n);
+        let [pa, pb] = test_pis(n);
+        for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
+            let (single_a, _) = run_projected(&m, MatrixFormat::Csr, 1, variant, &[&pa]);
+            let (single_b, _) = run_projected(&m, MatrixFormat::Csr, 1, variant, &[&pb]);
+            for format in [MatrixFormat::Csr, MatrixFormat::Dia, MatrixFormat::Operator] {
+                for threads in [1usize, 2, 4, 8] {
+                    let (both, _) = run_projected(&m, format, threads, variant, &[&pa, &pb]);
+                    let what = format!("{variant:?} {format} x{threads}");
+                    assert_bits(&single_a[0], &both[0], &format!("{what} π_a"));
+                    assert_bits(&single_b[0], &both[1], &format!("{what} π_b"));
                 }
             }
         }
@@ -1327,8 +1378,11 @@ mod tests {
         let u0 = vec![1.0; n];
         let mut k = FusedMomentKernel::new(&im, &zeros, &zeros, 2, 0, &u0, 1);
         assert_eq!(k.footprint_bytes(), 2 * 3 * n * 8);
-        k.set_projection(&u0);
+        k.set_projections(&[&u0]);
         assert_eq!(k.footprint_bytes(), 2 * 3 * n * 8 + 3 * 3 * 8);
+        // K = 2 projections: one partial per block, order and π.
+        k.set_projections(&[&u0, &zeros]);
+        assert_eq!(k.footprint_bytes(), 2 * 3 * n * 8 + 2 * 3 * 3 * 8);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! LRU cache of built [`SolvePlan`]s.
 //!
-//! Keyed by `(model digest, qt-bucket, max order)`: the digest pins the
-//! exact model content (a mutated model re-keys), the qt-bucket keeps a
-//! plan's usage profile narrow (requests a thousandfold apart in `q·t`
-//! don't share an entry's LRU slot), and the max order bounds which
-//! executes the cached plan may run. Hits, misses, and evictions are
-//! published to the `somrm-obs` registry under `serve.plan.*`.
+//! Keyed by `(plan digest, max order)`. The digest
+//! ([`somrm_core::plan_digest`]) pins everything a plan is built from —
+//! generator, drifts, variances — and nothing else: the `U`-recursion
+//! depends on neither the initial distribution `π` nor the horizon
+//! (Theorem 3), so tenants that differ only in `π`, and requests at any
+//! `q·t`, share one plan. A mutated model (one rate nudged, one
+//! variance added) re-keys. The max order bounds which executes the
+//! cached plan may run. Hits, misses, and evictions are published to
+//! the `somrm-obs` registry under `serve.plan.*`.
 
 use somrm_core::{MrmError, SecondOrderMrm, SolvePlan};
 use somrm_obs::RecorderHandle;
@@ -14,12 +17,9 @@ use std::sync::Arc;
 /// Cache key of one plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
-    /// FNV-1a content digest of the model
-    /// ([`somrm_core::model_digest`]).
+    /// π-free FNV-1a content digest of the model
+    /// ([`somrm_core::plan_digest`]).
     pub digest: u64,
-    /// `log2`-bucket of the request's largest `q·t`
-    /// (see [`qt_bucket`]).
-    pub qt_bucket: i32,
     /// Highest moment order the plan was built for.
     pub max_order: usize,
 }
@@ -34,7 +34,9 @@ pub const QT_ZERO_BUCKET: i32 = i32::MIN;
 
 /// Buckets `q·t` by binary order of magnitude: all `qt` in `[2ᵏ, 2ᵏ⁺¹)`
 /// share bucket `k`. Anything not strictly positive (including `-0.0`
-/// and NaN) gets the dedicated [`QT_ZERO_BUCKET`].
+/// and NaN) gets the dedicated [`QT_ZERO_BUCKET`]. Not part of the plan
+/// key (a plan serves every horizon); workload generators use it to
+/// spread horizons over orders of magnitude.
 pub fn qt_bucket(qt: f64) -> i32 {
     if qt > 0.0 {
         // log2 of a positive finite f64 lies well inside i32.
@@ -189,8 +191,9 @@ impl PlanCache {
     /// `build` on a miss. The boolean is `true` on a hit.
     ///
     /// The 64-bit digest in `key` is index material, not proof of
-    /// identity: on a key match the resident plan's model is compared
-    /// against `model` in full, and a mismatch (a digest collision) is
+    /// identity: on a key match the resident plan's generator, drifts
+    /// and variances are compared against `model`'s (its `π` may differ
+    /// — a plan serves every `π`), and a mismatch (a digest collision) is
     /// treated as a miss — counted under `serve.plan.digest_collision`
     /// and [`CacheStats::collisions`] — with the fresh plan replacing
     /// the colliding entry in place (no eviction of bystanders).
@@ -208,14 +211,14 @@ impl PlanCache {
     ) -> Result<(Arc<SolvePlan>, bool), MrmError> {
         self.tick += 1;
         if let Some(idx) = self.entries.iter().position(|e| e.key == key) {
-            if self.entries[idx].plan.model() == model {
+            if self.entries[idx].plan.model().same_plan_inputs(model) {
                 let e = &mut self.entries[idx];
                 e.last_used = self.tick;
                 self.stats.hits += 1;
                 self.recorder.counter_add("serve.plan.hit", 1);
                 return Ok((Arc::clone(&e.plan), true));
             }
-            // Same digest, different model content. Serving the
+            // Same digest, different generator or rewards. Serving the
             // resident plan would silently answer for the wrong model;
             // rebuild and take over the slot.
             self.stats.misses += 1;
@@ -259,7 +262,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use somrm_core::uniformization::SolverConfig;
-    use somrm_core::{model_digest, SecondOrderMrm, SolvePlan};
+    use somrm_core::{plan_digest, SecondOrderMrm, SolvePlan};
     use somrm_ctmc::generator::GeneratorBuilder;
 
     fn model(hi_rate: f64) -> SecondOrderMrm {
@@ -275,10 +278,9 @@ mod tests {
         .unwrap()
     }
 
-    fn key_for(m: &SecondOrderMrm, qt: f64, order: usize) -> PlanKey {
+    fn key_for(m: &SecondOrderMrm, order: usize) -> PlanKey {
         PlanKey {
-            digest: model_digest(m),
-            qt_bucket: qt_bucket(qt),
+            digest: plan_digest(m),
             max_order: order,
         }
     }
@@ -304,28 +306,29 @@ mod tests {
         let mut cache = PlanCache::new(2, RecorderHandle::disabled());
 
         let (p1, hit) = cache
-            .get_or_build(key_for(&m, 1.0, 2), &m, || build_plan(&m, 2))
+            .get_or_build(key_for(&m, 2), &m, || build_plan(&m, 2))
             .unwrap();
         assert!(!hit);
         let (p2, hit) = cache
-            .get_or_build(key_for(&m, 1.0, 2), &m, || panic!("must not rebuild"))
+            .get_or_build(key_for(&m, 2), &m, || panic!("must not rebuild"))
             .unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&p1, &p2), "hit returns the same plan");
 
         // Two more keys overflow capacity 2; the LRU entry is the one
-        // *not* touched since: key(qt=4) inserted second, never reused.
+        // *not* touched since: the order-3 key, inserted second, never
+        // reused.
         cache
-            .get_or_build(key_for(&m, 4.0, 2), &m, || build_plan(&m, 2))
+            .get_or_build(key_for(&m, 3), &m, || build_plan(&m, 3))
             .unwrap();
         cache
-            .get_or_build(key_for(&m, 1.0, 2), &m, || panic!("still cached"))
+            .get_or_build(key_for(&m, 2), &m, || panic!("still cached"))
             .unwrap();
         cache
-            .get_or_build(key_for(&m, 16.0, 2), &m, || build_plan(&m, 2))
+            .get_or_build(key_for(&m, 4), &m, || build_plan(&m, 4))
             .unwrap();
-        assert!(cache.contains(&key_for(&m, 1.0, 2)), "recently used survives");
-        assert!(!cache.contains(&key_for(&m, 4.0, 2)), "LRU entry evicted");
+        assert!(cache.contains(&key_for(&m, 2)), "recently used survives");
+        assert!(!cache.contains(&key_for(&m, 3)), "LRU entry evicted");
         let plan_bytes = build_plan(&m, 2).unwrap().footprint_bytes() as u64;
         assert_eq!(
             cache.stats(),
@@ -346,10 +349,10 @@ mod tests {
         let m2 = model(2.0 + 1e-12);
         let mut cache = PlanCache::new(4, RecorderHandle::disabled());
         cache
-            .get_or_build(key_for(&m1, 1.0, 2), &m1, || build_plan(&m1, 2))
+            .get_or_build(key_for(&m1, 2), &m1, || build_plan(&m1, 2))
             .unwrap();
         let (_, hit) = cache
-            .get_or_build(key_for(&m2, 1.0, 2), &m2, || build_plan(&m2, 2))
+            .get_or_build(key_for(&m2, 2), &m2, || build_plan(&m2, 2))
             .unwrap();
         assert!(!hit, "a 1-ulp rate change must not reuse the stale plan");
         assert_eq!(cache.stats().misses, 2);
@@ -363,7 +366,7 @@ mod tests {
             threads: 0,
             ..SolverConfig::default()
         };
-        let key = key_for(&m, 1.0, 2);
+        let key = key_for(&m, 2);
         assert!(cache
             .get_or_build(key, &m, || SolvePlan::build(&m, 2, &bad))
             .is_err());
@@ -379,10 +382,10 @@ mod tests {
         let ma = model(2.0);
         let mb = model(5.0);
         let mut cache = PlanCache::new(3, RecorderHandle::disabled());
-        let a1 = key_for(&ma, 1.0, 2);
-        let b1 = key_for(&mb, 1.0, 2);
-        let a2 = key_for(&ma, 8.0, 2);
-        let b2 = key_for(&mb, 8.0, 2);
+        let a1 = key_for(&ma, 2);
+        let b1 = key_for(&mb, 2);
+        let a2 = key_for(&ma, 3);
+        let b2 = key_for(&mb, 3);
 
         cache.get_or_build(a1, &ma, || build_plan(&ma, 2)).unwrap(); // tick 1
         cache.get_or_build(b1, &mb, || build_plan(&mb, 2)).unwrap(); // tick 2
@@ -397,7 +400,7 @@ mod tests {
         assert!(!cache.contains(&b1), "globally least-recently-used evicted");
 
         // Next overflow evicts a2 (tick 3 is now the oldest).
-        let a3 = key_for(&ma, 64.0, 2);
+        let a3 = key_for(&ma, 4);
         cache.get_or_build(a3, &ma, || build_plan(&ma, 2)).unwrap();
         assert!(!cache.contains(&a2));
         assert!(cache.contains(&a1));
@@ -433,22 +436,6 @@ mod tests {
         // Tiny positive values still bucket finitely (no i32 overflow).
         assert_eq!(qt_bucket(f64::MIN_POSITIVE), -1022);
         assert_eq!(qt_bucket(5e-324), -1074, "subnormal");
-
-        // The same boundaries at the cache level: qt 2.1 and 3.9 share
-        // a plan, 3.9 and 4.1 do not.
-        let m = model(2.0);
-        let mut cache = PlanCache::new(4, RecorderHandle::disabled());
-        cache
-            .get_or_build(key_for(&m, 2.1, 2), &m, || build_plan(&m, 2))
-            .unwrap();
-        let (_, hit) = cache
-            .get_or_build(key_for(&m, 3.9, 2), &m, || panic!("same bucket"))
-            .unwrap();
-        assert!(hit);
-        let (_, hit) = cache
-            .get_or_build(key_for(&m, 4.1, 2), &m, || build_plan(&m, 2))
-            .unwrap();
-        assert!(!hit, "crossing the 2^2 boundary re-keys");
     }
 
     #[test]
@@ -460,9 +447,9 @@ mod tests {
             ..SolverConfig::default()
         };
         // Scripted: miss, hit, miss, failed miss, hit, miss+evict.
-        let k1 = key_for(&m, 1.0, 2);
-        let k2 = key_for(&m, 4.0, 2);
-        let k3 = key_for(&m, 16.0, 2);
+        let k1 = key_for(&m, 2);
+        let k2 = key_for(&m, 3);
+        let k3 = key_for(&m, 4);
         cache.get_or_build(k1, &m, || build_plan(&m, 2)).unwrap();
         cache.get_or_build(k1, &m, || panic!("cached")).unwrap();
         cache.get_or_build(k2, &m, || build_plan(&m, 2)).unwrap();
@@ -496,15 +483,15 @@ mod tests {
             threads: 0,
             ..SolverConfig::default()
         };
-        let k1 = key_for(&m, 1.0, 2);
-        let k2 = key_for(&m, 4.0, 2);
+        let k1 = key_for(&m, 2);
+        let k2 = key_for(&m, 3);
         cache.get_or_build(k1, &m, || build_plan(&m, 2)).unwrap();
         cache.get_or_build(k2, &m, || build_plan(&m, 2)).unwrap();
         assert_eq!(cache.len(), 2, "at capacity");
 
         // A failing build at capacity must not evict the residents:
         // eviction happens only once a replacement plan exists.
-        let k3 = key_for(&m, 16.0, 2);
+        let k3 = key_for(&m, 4);
         assert!(cache
             .get_or_build(k3, &m, || SolvePlan::build(&m, 2, &bad))
             .is_err());
@@ -527,13 +514,13 @@ mod tests {
         let m = model(2.0);
         let mut cache = PlanCache::new(1, RecorderHandle::new(registry.clone()));
         cache
-            .get_or_build(key_for(&m, 1.0, 2), &m, || build_plan(&m, 2))
+            .get_or_build(key_for(&m, 2), &m, || build_plan(&m, 2))
             .unwrap();
         cache
-            .get_or_build(key_for(&m, 1.0, 2), &m, || panic!("cached"))
+            .get_or_build(key_for(&m, 2), &m, || panic!("cached"))
             .unwrap();
         cache
-            .get_or_build(key_for(&m, 8.0, 2), &m, || build_plan(&m, 2))
+            .get_or_build(key_for(&m, 3), &m, || build_plan(&m, 3))
             .unwrap();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("serve.plan.hit"), Some(1));
@@ -554,22 +541,34 @@ mod tests {
         // floor (companion to the subnormal-edge test above).
         assert_ne!(qt_bucket(5e-324), QT_ZERO_BUCKET);
         assert_ne!(qt_bucket(f64::MIN_POSITIVE), QT_ZERO_BUCKET);
+    }
 
-        // Cache level: qt = 0 and a subnormal qt use distinct slots,
-        // while every degenerate qt shares the pinned one.
+    #[test]
+    fn initial_distribution_and_horizon_do_not_key_a_plan() {
+        // A tenant differing only in π hits the plan another tenant
+        // built: the key has no π and no horizon, and the identity check
+        // compares generator, drifts and variances only.
         let m = model(2.0);
+        let other_pi = m.with_initial(vec![0.25, 0.75]).unwrap();
+        assert_eq!(key_for(&m, 2), key_for(&other_pi, 2));
         let mut cache = PlanCache::new(4, RecorderHandle::disabled());
-        cache
-            .get_or_build(key_for(&m, 0.0, 2), &m, || build_plan(&m, 2))
+        let (p1, _) = cache
+            .get_or_build(key_for(&m, 2), &m, || build_plan(&m, 2))
             .unwrap();
+        let (p2, hit) = cache
+            .get_or_build(key_for(&other_pi, 2), &other_pi, || {
+                panic!("π must not re-key")
+            })
+            .unwrap();
+        assert!(hit);
+        assert!(Arc::ptr_eq(&p1, &p2));
+        assert_eq!(cache.stats().collisions, 0);
+        // The order still keys: a higher-order plan is a separate entry.
         let (_, hit) = cache
-            .get_or_build(key_for(&m, 5e-324, 2), &m, || build_plan(&m, 2))
+            .get_or_build(key_for(&m, 3), &m, || build_plan(&m, 3))
             .unwrap();
-        assert!(!hit, "subnormal qt must not share the degenerate bucket");
-        let (_, hit) = cache
-            .get_or_build(key_for(&m, -3.0, 2), &m, || panic!("pinned bucket"))
-            .unwrap();
-        assert!(hit, "negative qt shares the qt=0 slot");
+        assert!(!hit);
+        assert_eq!(cache.len(), 2);
     }
 
     /// A birth-death chain with `n` states, so plans of very different
@@ -600,9 +599,9 @@ mod tests {
         let mut cache =
             PlanCache::with_budget(8, Some(budget), RecorderHandle::new(registry.clone()));
 
-        let s1 = key_for(&small, 1.0, 2);
-        let kb = key_for(&big, 1.0, 2);
-        let s2 = key_for(&small, 16.0, 2);
+        let s1 = key_for(&small, 2);
+        let kb = key_for(&big, 2);
+        let s2 = key_for(&small, 4);
         cache.get_or_build(s1, &small, || build_plan(&small, 2)).unwrap();
         cache.get_or_build(kb, &big, || build_plan(&big, 2)).unwrap();
         assert_eq!(cache.resident_bytes(), small_bytes + big_bytes);
@@ -621,7 +620,7 @@ mod tests {
         // cache must shed both LRU entries to get back under budget.
         cache.get_or_build(kb, &big, || panic!("cached")).unwrap();
         let big2 = chain_model(64, 2.5);
-        let kb2 = key_for(&big2, 1.0, 2);
+        let kb2 = key_for(&big2, 2);
         cache.get_or_build(kb2, &big2, || build_plan(&big2, 2)).unwrap();
         assert!(cache.contains(&kb2), "newest entry is never evicted");
         assert!(
@@ -646,13 +645,13 @@ mod tests {
     fn a_single_plan_larger_than_the_budget_is_still_retained() {
         let big = chain_model(32, 1.0);
         let mut cache = PlanCache::with_budget(4, Some(1), RecorderHandle::disabled());
-        let kb = key_for(&big, 1.0, 2);
+        let kb = key_for(&big, 2);
         cache.get_or_build(kb, &big, || build_plan(&big, 2)).unwrap();
         assert_eq!(cache.len(), 1, "the newest plan always stays");
         assert_eq!(cache.stats().evictions, 0);
         // The next insert displaces it — the budget holds again.
         let small = model(2.0);
-        let ks = key_for(&small, 1.0, 2);
+        let ks = key_for(&small, 2);
         cache.get_or_build(ks, &small, || build_plan(&small, 2)).unwrap();
         assert_eq!(cache.len(), 1);
         assert!(cache.contains(&ks));
@@ -673,7 +672,7 @@ mod tests {
         let m1 = model(2.0);
         let m2 = model(5.0);
         let mut cache = PlanCache::new(2, RecorderHandle::new(registry.clone()));
-        let key = key_for(&m1, 1.0, 2);
+        let key = key_for(&m1, 2);
         let (p1, _) = cache.get_or_build(key, &m1, || build_plan(&m1, 2)).unwrap();
         let (p2, hit) = cache.get_or_build(key, &m2, || build_plan(&m2, 2)).unwrap();
         assert!(!hit, "a colliding key must never serve the wrong model's plan");

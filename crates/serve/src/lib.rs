@@ -6,12 +6,15 @@
 //! serving layer:
 //!
 //! - [`cache`] — an LRU [`PlanCache`] keyed by
-//!   `(model digest, qt-bucket, max order)` with hit/miss/evict
-//!   counters published through `somrm-obs`;
+//!   `(π-free plan digest, max order)` with hit/miss/evict counters
+//!   published through `somrm-obs`: tenants differing only in their
+//!   initial distribution, and requests at any horizon, share a plan;
 //! - [`proto`] — the JSON-lines request/response protocol;
-//! - [`server`] — the batch loop: requests that arrive together and
-//!   share a plan key are coalesced into ONE fused multi-order sweep
-//!   over their merged time grid;
+//! - [`server`] — the batch loop: each distinct model spec of a batch
+//!   is resolved once, and requests that arrive together and share a
+//!   generator and rewards are coalesced into ONE fused multi-order
+//!   sweep over their merged time grid that projects every distinct
+//!   initial distribution of the group;
 //! - [`telemetry`] — request-scoped observability riding on top:
 //!   id-tagged lifecycle spans surviving coalescing, the sideband admin
 //!   protocol (`{"cmd":"stats"}` / `reset` / `health`), and

@@ -3,13 +3,17 @@
 //!
 //! [`serve`] drains its input through a reader thread into a channel and
 //! processes whatever has accumulated since the last batch in one go —
-//! under load, concurrent requests for the same model land in the same
-//! batch and are coalesced by [`serve_batch_traced`]: the group shares
-//! one cached plan and ONE fused multi-order sweep over the merged time
-//! grid (the `U`-recursion does not depend on `t`, so a single pass to
-//! the largest requested time serves every request of the group). That
-//! coalescing — not the cached setup, which is a few percent of a solve
-//! — is where the serving throughput comes from.
+//! under load, concurrent requests land in the same batch and are
+//! coalesced by [`serve_batch_traced`]. Each distinct model spec of the
+//! batch is resolved once (a batch sees one snapshot of its files), and
+//! requests whose models share a generator, drifts and variances form
+//! one group: one cached plan and ONE fused multi-order sweep over the
+//! merged time grid, projecting every distinct initial distribution of
+//! the group in the same pass. The `U`-recursion depends on neither `t`
+//! nor `π` (Theorem 3), so a single pass to the largest requested time
+//! serves every request of the group, whatever its horizon and tenant.
+//! That coalescing — not the cached setup, which is a few percent of a
+//! solve — is where the serving throughput comes from.
 //!
 //! Request-scoped telemetry rides on top (see [`crate::telemetry`]):
 //! every request line gets a sequence number and a received instant,
@@ -21,16 +25,18 @@
 //!
 //! Error containment: a malformed line, an unresolvable model, or a
 //! solver error produces a structured error response on that request's
-//! line slot; the server never exits on bad input.
+//! line slot; the server never exits on bad input. A request whose
+//! horizon needs more iterations than the cap allows is answered with
+//! its own error before the group's sweep, which then runs for the rest.
 
-use crate::cache::{qt_bucket, CacheStats, PlanCache, PlanKey};
+use crate::cache::{CacheStats, PlanCache, PlanKey};
 use crate::proto::{parse_request, render_err, render_ok, ModelSpec, Request};
 use crate::telemetry::{
     parse_command, render_health, render_reset, render_stats, CommandKind, SlowTraceOptions,
     TraceTee, TracedLine,
 };
 use somrm_core::uniformization::SolverConfig;
-use somrm_core::{model_digest, SecondOrderMrm, SolvePlan};
+use somrm_core::{model_digest, plan_digest, MomentSolution, SecondOrderMrm, SolvePlan};
 use somrm_obs::{ChromeTraceRecorder, RecorderHandle, RequestLatency, ServeStats};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::{mpsc, Arc};
@@ -105,13 +111,38 @@ pub struct BatchOutcome {
     pub latencies: Vec<RequestLatency>,
 }
 
+/// One distinct model spec of a batch and what resolving it gave.
+struct Spec {
+    spec: ModelSpec,
+    resolved: Result<Resolved, String>,
+}
+
+struct Resolved {
+    model: SecondOrderMrm,
+    /// Digest of the whole model, `π` included: the per-model stats row.
+    model_digest: u64,
+    /// The π-free plan digest: the cache key and the group.
+    plan_digest: u64,
+}
+
 struct Parsed {
     /// Index into the batch's response slots.
     slot: usize,
     req: Request,
-    model: SecondOrderMrm,
-    digest: u64,
-    bucket: i32,
+    /// Index into the batch's resolved specs.
+    spec: usize,
+}
+
+/// Requests sharing one plan: `spec` supplies the plan's model,
+/// `members` index the batch's parsed requests.
+struct Group {
+    spec: usize,
+    members: Vec<usize>,
+}
+
+/// `true` when the two vectors have the same bits.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn ns(d: Duration) -> u64 {
@@ -141,16 +172,20 @@ pub fn serve_batch(
     serve_batch_traced(&traced, resolver, cache, solver, None, now)
 }
 
-/// Processes one batch of request lines: parse, group by
-/// `(model digest, qt-bucket)`, one plan lookup per request (so cache
-/// counters reflect demand), ONE `execute` per group at the group's
-/// maximum order over the merged time grid, then per-request responses
+/// Processes one batch of request lines: parse, resolve each distinct
+/// model spec once, group by π-free plan digest, one plan lookup per
+/// request (so cache counters reflect demand), ONE `execute_for` per
+/// group at the group's maximum order over the merged time grid and the
+/// group's distinct initial distributions, then per-request responses
 /// in request order.
 ///
-/// Lower-order requests of a coalesced group are answered from the
-/// higher-order sweep; their moments 0..=order are bit-identical across
-/// repeats of the same group shape, and their reported error bounds are
-/// the (tighter) bounds of the executed truncation.
+/// Every answer is bit-identical to a cold `execute` of the request's
+/// own model over the group's merged grid at the group's order: lower-
+/// order requests are answered from the higher-order sweep, and their
+/// reported error bounds are the (tighter) bounds of the executed
+/// truncation. A request whose own horizon fails the truncation search
+/// (the iteration cap) is answered with that error and left out of the
+/// sweep.
 ///
 /// Telemetry (read-only; responses are not affected): each request's
 /// lifecycle is measured into [`RequestLatency`] — queue wait from its
@@ -174,10 +209,12 @@ pub fn serve_batch_traced(
     let mut latencies: Vec<RequestLatency> = vec![RequestLatency::default(); n];
     let mut digests: Vec<Option<u64>> = vec![None; n];
     let mut error_kinds: Vec<Option<&'static str>> = vec![None; n];
+    let mut specs: Vec<Spec> = Vec::new();
     let mut parsed: Vec<Parsed> = Vec::new();
 
     for (slot, tl) in lines.iter().enumerate() {
-        match parse_request(&tl.line) {
+        let req = match parse_request(&tl.line) {
+            Ok(req) => req,
             Err(e) => {
                 // The id may still be recoverable from valid JSON.
                 let id = somrm_obs::json::parse(&tl.line)
@@ -186,47 +223,71 @@ pub fn serve_batch_traced(
                     .unwrap_or(somrm_obs::json::Value::Null);
                 error_kinds[slot] = Some("parse");
                 responses[slot] = Some(render_err(&id, &e));
+                continue;
             }
-            Ok(req) => match resolver(&req.model) {
-                Err(e) => {
-                    error_kinds[slot] = Some("model");
-                    responses[slot] = Some(render_err(&req.id, &format!("model: {e}")));
-                }
-                Ok(model) => {
-                    let digest = model_digest(&model);
-                    digests[slot] = Some(digest);
-                    let q = model.generator().uniformization_rate();
-                    let t_max = req.times.iter().copied().fold(0.0, f64::max);
-                    parsed.push(Parsed {
-                        slot,
-                        req,
-                        model,
-                        digest,
-                        bucket: qt_bucket(q * t_max),
-                    });
-                }
-            },
+        };
+        let spec = match specs.iter().position(|s| s.spec == req.model) {
+            Some(idx) => idx,
+            None => {
+                let resolved = resolver(&req.model).map(|model| Resolved {
+                    model_digest: model_digest(&model),
+                    plan_digest: plan_digest(&model),
+                    model,
+                });
+                specs.push(Spec {
+                    spec: req.model.clone(),
+                    resolved,
+                });
+                specs.len() - 1
+            }
+        };
+        match &specs[spec].resolved {
+            Err(e) => {
+                error_kinds[slot] = Some("model");
+                responses[slot] = Some(render_err(&req.id, &format!("model: {e}")));
+            }
+            Ok(r) => {
+                digests[slot] = Some(r.model_digest);
+                parsed.push(Parsed { slot, req, spec });
+            }
         }
     }
+    let resolved = |spec: usize| specs[spec].resolved.as_ref().expect("only resolved specs");
 
-    // Group members by (digest, qt-bucket), preserving first-seen order.
-    let mut groups: Vec<((u64, i32), Vec<usize>)> = Vec::new();
+    // Group members by plan inputs, preserving first-seen order. A
+    // digest match is confirmed against the group's model, so a digest
+    // collision opens a group of its own (and the cache rebuilds).
+    let mut groups: Vec<Group> = Vec::new();
+    let mut group_of_spec: Vec<Option<usize>> = vec![None; specs.len()];
     for (i, p) in parsed.iter().enumerate() {
-        let gk = (p.digest, p.bucket);
-        match groups.iter_mut().find(|(k, _)| *k == gk) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((gk, vec![i])),
-        }
+        let g = *group_of_spec[p.spec].get_or_insert_with(|| {
+            let r = resolved(p.spec);
+            groups
+                .iter()
+                .position(|g| {
+                    let other = resolved(g.spec);
+                    other.plan_digest == r.plan_digest && other.model.same_plan_inputs(&r.model)
+                })
+                .unwrap_or_else(|| {
+                    groups.push(Group {
+                        spec: p.spec,
+                        members: Vec::new(),
+                    });
+                    groups.len() - 1
+                })
+        });
+        groups[g].members.push(i);
     }
 
-    for ((digest, bucket), members) in &groups {
+    for group in &groups {
+        let members = &group.members;
+        let build = resolved(group.spec);
+        let build_model = &build.model;
         let group_order = members.iter().map(|&i| parsed[i].req.order).max().unwrap_or(0);
         let key = PlanKey {
-            digest: *digest,
-            qt_bucket: *bucket,
+            digest: build.plan_digest,
             max_order: group_order,
         };
-        let build_model = &parsed[members[0]].model;
 
         // One lookup per request: the cache counters measure demand, not
         // batch shapes, and the first lookup builds for the whole group.
@@ -241,11 +302,8 @@ pub fn serve_batch_traced(
                     hits.push(hit);
                     plan = Some(p);
                 }
-                Err(e) => hits.push({
-                    // Build failures answer per request below.
-                    let _ = e;
-                    false
-                }),
+                // Build failures answer per request below.
+                Err(_) => hits.push(false),
             }
         }
         // The group's shared cost attributes back to each member as an
@@ -268,54 +326,97 @@ pub fn serve_batch_traced(
             continue;
         };
 
-        let mut merged: Vec<f64> = members
+        // A member whose own horizon fails the truncation search would
+        // fail the shared sweep for everyone: answer it alone, first.
+        // G grows with the horizon, so members are searched one by one
+        // only when the group's longest horizon fails.
+        let t_max = |i: usize| parsed[i].req.times.iter().copied().fold(0.0, f64::max);
+        let group_t_max = members.iter().map(|&i| t_max(i)).fold(0.0, f64::max);
+        let group_fits = plan.truncation(group_t_max, group_order).is_ok();
+        let mut live: Vec<(usize, bool)> = Vec::with_capacity(members.len());
+        for (&i, &hit) in members.iter().zip(&hits) {
+            let p = &parsed[i];
+            if group_fits {
+                live.push((i, hit));
+                continue;
+            }
+            match plan.truncation(t_max(i), group_order) {
+                Ok(_) => live.push((i, hit)),
+                Err(e) => {
+                    error_kinds[p.slot] = Some("solver");
+                    responses[p.slot] = Some(render_err(&p.req.id, &e.to_string()));
+                }
+            }
+        }
+        if live.is_empty() {
+            continue;
+        }
+
+        // The group's distinct initial distributions, by bits.
+        let mut pis: Vec<&[f64]> = Vec::new();
+        let mut pi_of_spec: Vec<Option<usize>> = vec![None; specs.len()];
+        let member_pi: Vec<usize> = live
             .iter()
-            .flat_map(|&i| parsed[i].req.times.iter().copied())
+            .map(|&(i, _)| {
+                let spec = parsed[i].spec;
+                *pi_of_spec[spec].get_or_insert_with(|| {
+                    let pi = resolved(spec).model.initial();
+                    pis.iter()
+                        .position(|q| same_bits(q, pi))
+                        .unwrap_or_else(|| {
+                            pis.push(pi);
+                            pis.len() - 1
+                        })
+                })
+            })
+            .collect();
+        let mut merged: Vec<f64> = live
+            .iter()
+            .flat_map(|&(i, _)| parsed[i].req.times.iter().copied())
             .collect();
         merged.sort_by(f64::total_cmp);
         merged.dedup();
 
         let exec_t0 = Instant::now();
-        let executed = plan.execute(&merged, group_order);
-        let exec_share = ns(exec_t0.elapsed()) / members.len() as u64;
-        for &i in members {
+        let executed = plan.execute_for(&pis, &merged, group_order);
+        let exec_share = ns(exec_t0.elapsed()) / live.len() as u64;
+        for &(i, _) in &live {
             latencies[parsed[i].slot].execute_ns = exec_share;
         }
-        match executed {
+        let solutions = match executed {
+            Ok(solutions) => solutions,
             Err(e) => {
                 let msg = e.to_string();
-                for &i in members {
+                for &(i, _) in &live {
                     error_kinds[parsed[i].slot] = Some("solver");
                     responses[parsed[i].slot] = Some(render_err(&parsed[i].req.id, &msg));
                 }
+                continue;
             }
-            Ok(solutions) => {
-                for (&i, &hit) in members.iter().zip(&hits) {
-                    let p = &parsed[i];
-                    let slice_t0 = Instant::now();
-                    let sols: Vec<&somrm_core::MomentSolution> = p
-                        .req
-                        .times
-                        .iter()
-                        .map(|t| {
-                            let idx = merged
-                                .binary_search_by(|x| x.total_cmp(t))
-                                .expect("every requested time is in the merged grid");
-                            &solutions[idx]
-                        })
-                        .collect();
-                    responses[p.slot] =
-                        Some(render_ok(&p.req.id, hit, members.len(), p.req.order, &sols));
-                    let slice_ns = ns(slice_t0.elapsed());
-                    latencies[p.slot].slice_ns = slice_ns;
-                    if rec.enabled() {
-                        rec.span_complete(
-                            &format!("req[{}] slice", lines[p.slot].seq),
-                            slice_t0,
-                            slice_ns,
-                        );
-                    }
-                }
+        };
+        for (&(i, hit), &pi) in live.iter().zip(&member_pi) {
+            let p = &parsed[i];
+            let slice_t0 = Instant::now();
+            let sols: Vec<&MomentSolution> = p
+                .req
+                .times
+                .iter()
+                .map(|t| {
+                    let idx = merged
+                        .binary_search_by(|x| x.total_cmp(t))
+                        .expect("every requested time is in the merged grid");
+                    &solutions[pi][idx]
+                })
+                .collect();
+            responses[p.slot] = Some(render_ok(&p.req.id, hit, live.len(), p.req.order, &sols));
+            let slice_ns = ns(slice_t0.elapsed());
+            latencies[p.slot].slice_ns = slice_ns;
+            if rec.enabled() {
+                rec.span_complete(
+                    &format!("req[{}] slice", lines[p.slot].seq),
+                    slice_t0,
+                    slice_ns,
+                );
             }
         }
     }
@@ -576,12 +677,16 @@ mod tests {
     use std::io::Cursor;
 
     const MODEL_A: &str = "model-a";
+    /// `model-a` with another initial distribution: a second tenant of
+    /// the same generator and rewards.
+    const MODEL_A_PI: &str = "model-a-pi";
     const MODEL_B: &str = "model-b";
 
     fn build(which: &str) -> SecondOrderMrm {
-        let (hi, drift) = match which {
-            MODEL_A => (2.0, 3.0),
-            MODEL_B => (5.0, 1.0),
+        let (hi, drift, initial) = match which {
+            MODEL_A => (2.0, 3.0, vec![1.0, 0.0]),
+            MODEL_A_PI => (2.0, 3.0, vec![0.25, 0.75]),
+            MODEL_B => (5.0, 1.0, vec![1.0, 0.0]),
             other => panic!("unknown test model {other}"),
         };
         let mut b = GeneratorBuilder::new(2);
@@ -591,9 +696,37 @@ mod tests {
             b.build().unwrap(),
             vec![0.0, drift],
             vec![0.0, 1.0],
-            vec![1.0, 0.0],
+            initial,
         )
         .unwrap()
+    }
+
+    /// A cold plan's projected execute of `which` over `times`.
+    fn cold(which: &str, times: &[f64], order: usize) -> Vec<somrm_core::MomentSolution> {
+        SolvePlan::build(&build(which), order, &SolverConfig::default())
+            .unwrap()
+            .execute(times, order)
+            .unwrap()
+    }
+
+    /// Every result's moments of one response, in request order.
+    fn all_moments(response: &Value) -> Vec<Vec<f64>> {
+        response
+            .get("results")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|r| {
+                r.get("moments")
+                    .unwrap()
+                    .as_array()
+                    .unwrap()
+                    .iter()
+                    .map(|v| v.as_f64().unwrap())
+                    .collect()
+            })
+            .collect()
     }
 
     fn resolver(spec: &ModelSpec) -> Result<SecondOrderMrm, String> {
@@ -697,8 +830,6 @@ mod tests {
 
     #[test]
     fn batch_coalesces_same_model_requests_into_one_sweep() {
-        // model-a has q = 2, so t ∈ {0.6, 0.9} puts both requests in
-        // qt-bucket 0 — the same group.
         let lines: Vec<String> = vec![
             r#"{"id": "a", "model": "model-a", "t": [0.6], "order": 2}"#.to_string(),
             r#"{"id": "b", "model": "model-a", "t": [0.9, 0.6]}"#.to_string(),
@@ -776,6 +907,95 @@ mod tests {
         assert!(r1.get("error").unwrap().as_str().unwrap().contains("truncation"));
         let r2 = parse(&outcome.responses[1]).unwrap();
         assert_eq!(r2.get("ok"), Some(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn an_over_cap_horizon_fails_alone_and_its_group_still_answers() {
+        // Same model, one batch: t = 1e9 needs more iterations than the
+        // cap allows, t = 0.5 does not. Only the first request errors;
+        // the second gets the moments of a sweep over its own grid.
+        let lines: Vec<String> = vec![
+            r#"{"id": 1, "model": "model-a", "t": [0.5, 1e9]}"#.to_string(),
+            r#"{"id": 2, "model": "model-a", "t": 0.5}"#.to_string(),
+        ];
+        let mut cache = PlanCache::new(4, somrm_obs::RecorderHandle::disabled());
+        let outcome = serve_batch(&lines, &resolver, &mut cache, &SolverConfig::default());
+        assert_eq!((outcome.ok, outcome.errors), (1, 1));
+        let r1 = parse(&outcome.responses[0]).unwrap();
+        assert_eq!(r1.get("ok"), Some(&Value::Bool(false)));
+        assert!(r1
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("truncation"));
+        let r2 = parse(&outcome.responses[1]).unwrap();
+        assert_eq!(r2.get("coalesced").unwrap().as_f64(), Some(1.0));
+        assert_eq!(moments_of(&r2), cold(MODEL_A, &[0.5], 2)[0].weighted);
+    }
+
+    #[test]
+    fn pi_variants_across_horizons_share_one_plan_and_one_sweep() {
+        // Two tenants of one generator (different π), at horizons two
+        // binary orders of magnitude apart in q·t: one plan miss, one
+        // execute, and each answer carries the bits of a cold execute
+        // of its own model over the group's merged grid.
+        let registry = Arc::new(somrm_obs::MetricsRegistry::new());
+        let solver = SolverConfig {
+            recorder: RecorderHandle::new(registry.clone()),
+            ..SolverConfig::default()
+        };
+        let lines: Vec<String> = vec![
+            r#"{"id": 1, "model": "model-a", "t": 0.6, "order": 1}"#.to_string(),
+            r#"{"id": 2, "model": "model-a-pi", "t": [1.5, 0.6]}"#.to_string(),
+        ];
+        let mut cache = PlanCache::new(4, solver.recorder.clone());
+        let stats = ServeStats::new();
+        let now = Instant::now();
+        let traced: Vec<TracedLine> = lines
+            .iter()
+            .enumerate()
+            .map(|(i, l)| TracedLine {
+                seq: i as u64,
+                received: now,
+                line: l.clone(),
+            })
+            .collect();
+        let outcome =
+            serve_batch_traced(&traced, &resolver, &mut cache, &solver, Some(&stats), now);
+        assert_eq!(outcome.ok, 2);
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("plan.executes"), Some(1));
+        assert_eq!(snap.counter("serve.plan.miss"), Some(1));
+
+        let merged = [0.6, 1.5];
+        let (a, b) = (cold(MODEL_A, &merged, 2), cold(MODEL_A_PI, &merged, 2));
+        let r1 = parse(&outcome.responses[0]).unwrap();
+        let r2 = parse(&outcome.responses[1]).unwrap();
+        assert_eq!(r1.get("coalesced").unwrap().as_f64(), Some(2.0));
+        assert_eq!(all_moments(&r1), vec![a[0].weighted[..2].to_vec()]);
+        assert_eq!(
+            all_moments(&r2),
+            vec![b[1].weighted.clone(), b[0].weighted.clone()]
+        );
+        assert_ne!(a[0].weighted, b[0].weighted, "the tenants' answers differ");
+        // Per-model statistics still tell the tenants apart.
+        assert_eq!(stats.snapshot().models.len(), 2);
+    }
+
+    #[test]
+    fn a_tenant_hitting_another_tenants_plan_gets_its_own_cold_bits() {
+        let mut cache = PlanCache::new(4, somrm_obs::RecorderHandle::disabled());
+        let solver = SolverConfig::default();
+        let first = vec![r#"{"id": 1, "model": "model-a", "t": 0.7}"#.to_string()];
+        serve_batch(&first, &resolver, &mut cache, &solver);
+        let second = vec![r#"{"id": 2, "model": "model-a-pi", "t": 0.7}"#.to_string()];
+        let outcome = serve_batch(&second, &resolver, &mut cache, &solver);
+        let r = parse(&outcome.responses[0]).unwrap();
+        assert_eq!(r.get("plan").unwrap().as_str(), Some("hit"));
+        assert_eq!(moments_of(&r), cold(MODEL_A_PI, &[0.7], 2)[0].weighted);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -913,7 +1133,7 @@ mod tests {
         assert_eq!(latency.get("count").unwrap().as_f64(), Some(3.0));
         assert!(latency.get("p50_ns").unwrap().as_f64().is_some());
         // Cache counters reconcile with the plan builds: both solves hit
-        // one (digest, bucket, order) key — 1 miss, 1 hit.
+        // one (plan digest, order) key — 1 miss, 1 hit.
         let cache = stats1.get("cache").unwrap();
         assert_eq!(cache.get("misses").unwrap().as_f64(), Some(1.0));
         assert_eq!(cache.get("hits").unwrap().as_f64(), Some(1.0));
@@ -942,7 +1162,7 @@ mod tests {
     #[test]
     fn byte_budget_flows_from_options_to_stats_sideband() {
         // Budget of 1 byte: every plan overflows it, so each new
-        // (digest, bucket) key displaces the resident plan, and the
+        // (plan digest, order) key displaces the resident plan, and the
         // sideband stats must report the eviction bytes and the live
         // resident footprint.
         let options = ServeOptions {

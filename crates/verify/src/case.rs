@@ -175,10 +175,16 @@ impl VerifyCase {
 
     /// Parses a case from its JSON form.
     ///
+    /// Counts and indices (`n_states`, `order`, transition endpoints)
+    /// must be finite, non-negative integers; `n_states` must equal the
+    /// lengths of `drifts`, `variances` and `initial`, and `order` may
+    /// not exceed [`MAX_CASE_ORDER`]. So an accepted case never asks
+    /// [`VerifyCase::build`] for more memory than its own text implies.
+    ///
     /// # Errors
     ///
     /// Returns a human-readable message on malformed JSON or missing /
-    /// mistyped fields.
+    /// mistyped / out-of-range fields.
     pub fn from_json(text: &str) -> Result<VerifyCase, String> {
         let v = json::parse(text)?;
         let str_field = |key: &str| -> Result<String, String> {
@@ -200,6 +206,7 @@ impl VerifyCase {
                 .map(|x| x.as_f64().ok_or_else(|| format!("non-number in '{key}'")))
                 .collect()
         };
+        let count_field = |key: &str| num_field(key).and_then(|x| count(x, key));
         let family_name = str_field("family")?;
         let family = Family::parse(&family_name)
             .ok_or_else(|| format!("unknown family '{family_name}'"))?;
@@ -213,27 +220,64 @@ impl VerifyCase {
                 if triple.len() != 3 {
                     return Err("transition is not a [from, to, rate] triple".to_string());
                 }
-                let idx = |k: usize| -> Result<f64, String> {
+                let num = |k: usize| -> Result<f64, String> {
                     triple[k]
                         .as_f64()
                         .ok_or_else(|| "non-number in transition".to_string())
                 };
-                Ok((idx(0)? as usize, idx(1)? as usize, idx(2)?))
+                let idx = |k: usize| num(k).and_then(|x| count(x, "transition index"));
+                Ok((idx(0)?, idx(1)?, num(2)?))
             })
             .collect::<Result<Vec<_>, String>>()?;
+        let n_states = count_field("n_states")?;
+        let (drifts, variances, initial) = (
+            vec_field("drifts")?,
+            vec_field("variances")?,
+            vec_field("initial")?,
+        );
+        for (key, len) in [
+            ("drifts", drifts.len()),
+            ("variances", variances.len()),
+            ("initial", initial.len()),
+        ] {
+            if len != n_states {
+                return Err(format!("'{key}' has {len} entries for n_states {n_states}"));
+            }
+        }
+        let order = count_field("order")?;
+        if order > MAX_CASE_ORDER {
+            return Err(format!("order {order} exceeds {MAX_CASE_ORDER}"));
+        }
         Ok(VerifyCase {
             id: str_field("id")?,
             family,
-            n_states: num_field("n_states")? as usize,
+            n_states,
             transitions,
-            drifts: vec_field("drifts")?,
-            variances: vec_field("variances")?,
-            initial: vec_field("initial")?,
+            drifts,
+            variances,
+            initial,
             t: num_field("t")?,
-            order: num_field("order")? as usize,
+            order,
             note: str_field("note").unwrap_or_default(),
         })
     }
+}
+
+/// Highest moment order a case file may ask for: the recursion holds
+/// `order + 1` state-sized blocks, so the cap matches serve's request
+/// limit.
+pub const MAX_CASE_ORDER: usize = 16;
+
+/// A JSON number as a count or index: finite, non-negative, integral,
+/// and exactly representable (below 2⁵³).
+fn count(x: f64, what: &str) -> Result<usize, String> {
+    const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+    if !(0.0..EXACT).contains(&x) || x.fract() != 0.0 {
+        return Err(format!(
+            "{what} must be a non-negative integer below 2^53, got {x}"
+        ));
+    }
+    Ok(x as usize)
 }
 
 #[cfg(test)]
@@ -278,6 +322,30 @@ mod tests {
         let mut json = sample_case().to_json();
         json = json.replace("\"mixed-sign\"", "\"no-such-family\"");
         assert!(VerifyCase::from_json(&json).unwrap_err().contains("unknown family"));
+    }
+
+    #[test]
+    fn hostile_counts_are_rejected_before_any_allocation() {
+        let json = sample_case().to_json();
+        for (from, to, why) in [
+            ("\"n_states\":3", "\"n_states\":1e15", "entries"),
+            (
+                "\"n_states\":3",
+                "\"n_states\":1e19",
+                "non-negative integer",
+            ),
+            ("\"n_states\":3", "\"n_states\":-5", "non-negative integer"),
+            ("\"n_states\":3", "\"n_states\":2.5", "non-negative integer"),
+            ("\"n_states\":3", "\"n_states\":2", "entries"),
+            ("\"order\":3", "\"order\":17", "exceeds"),
+            ("\"order\":3", "\"order\":-1", "non-negative integer"),
+            ("[0,1,", "[-1,1,", "non-negative integer"),
+            ("[1,2,", "[1.5,2,", "non-negative integer"),
+        ] {
+            assert_eq!(json.matches(from).count(), 1, "{from}");
+            let err = VerifyCase::from_json(&json.replace(from, to)).unwrap_err();
+            assert!(err.contains(why), "{to}: {err}");
+        }
     }
 
     #[test]

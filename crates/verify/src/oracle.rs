@@ -9,7 +9,8 @@
 //!   pooled** randomization must agree **bitwise** (prior work proved
 //!   the kernels bit-identical; the oracle keeps them honest). So must
 //!   the projected `SolvePlan::execute` among itself: warm vs a cold
-//!   plan, pooled vs serial.
+//!   plan, pooled vs serial, and a second (uniform) π projected in the
+//!   pooled sweep vs a cold plan of the model carrying that π.
 //! - **Projected vs per-state** weighted moments sum the same series in
 //!   a different order; `rnd-proj` allows exactly the derived rounding
 //!   `2·(n + G·(j+2))·u` times the magnitude of the un-shift sum, with
@@ -111,7 +112,8 @@ pub struct CaseStats {
     /// Pooled randomization compared bitwise.
     pub pool_checked: bool,
     /// Projected execute compared bitwise: warm vs a cold plan, pooled
-    /// vs serial.
+    /// vs serial, and a uniform π riding the pooled sweep vs its own
+    /// cold plan.
     pub plan_checked: bool,
     /// Projected execute compared with the per-state weighted moments
     /// within the derived rounding allowance.
@@ -404,10 +406,28 @@ fn check_case_inner(
 
     let warm = project(&plan, "rnd-plan-warm")?;
     compare_bitwise("rnd-plan-warm", &cold.weighted, &warm.weighted)?;
+    // The pooled plan also projects a uniform π in the same sweep: each
+    // π's answer must carry the bits of a plan of its own model.
+    let n = model.n_states();
+    let uniform = vec![1.0 / n as f64; n];
     let pooled_plan =
         SolvePlan::build(&model, case.order, &pool_cfg).map_err(|e| solve_error("rnd-plan", &e))?;
-    let pooled = project(&pooled_plan, "rnd-plan")?;
-    compare_bitwise("rnd-plan", &cold.weighted, &pooled.weighted)?;
+    let pooled = rec
+        .time("verify.solve.proj", || {
+            pooled_plan.execute_for(&[model.initial(), &uniform], &[case.t], case.order)
+        })
+        .map_err(|e| solve_error("rnd-plan", &e))?;
+    compare_bitwise("rnd-plan", &cold.weighted, &pooled[0][0].weighted)?;
+    let uniform_plan = model
+        .with_initial(uniform.clone())
+        .and_then(|m| SolvePlan::build(&m, case.order, &base))
+        .map_err(|e| solve_error("rnd-plan-pi", &e))?;
+    let uniform_cold = project(&uniform_plan, "rnd-plan-pi")?;
+    compare_bitwise(
+        "rnd-plan-pi",
+        &uniform_cold.weighted,
+        &pooled[1][0].weighted,
+    )?;
     stats.plan_checked = true;
     rec.counter_add("verify.checks.plan", 1);
 

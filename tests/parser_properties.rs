@@ -1,8 +1,10 @@
 //! No-panic properties of the hand-rolled text parsers a server or a
 //! report reader feeds untrusted input: the JSON parser
 //! (`obs::json::parse`), the serve request parser
-//! (`serve::parse_request`) and the event-log reader
-//! (`obs::Event::parse_lines`). Each must answer `Ok` or `Err` on any
+//! (`serve::parse_request`), the event-log reader
+//! (`obs::Event::parse_lines`) and the verify case reader
+//! (`verify::VerifyCase::from_json`, followed by `build`). Each must
+//! answer `Ok` or `Err` on any
 //! line — random token soup, nesting far past any stack, numbers past
 //! the f64 range, malformed literals — and never panic. Accepted inputs
 //! must also mean what they say (round trips, validated fields).
@@ -11,6 +13,8 @@ use proptest::prelude::*;
 use somrm::obs::json::{self, ParseError, Value, MAX_DEPTH};
 use somrm::obs::Event;
 use somrm::serve::{parse_request, MAX_ORDER};
+use somrm::verify::case::MAX_CASE_ORDER;
+use somrm::verify::VerifyCase;
 
 /// One JSON-ish token: structure, protocol keys and event kinds,
 /// numbers from tiny to past f64, literals, and malformed text.
@@ -125,8 +129,65 @@ fn event_like() -> impl Strategy<Value = String> {
     })
 }
 
+/// A count-like value: mostly small integers, sometimes any token
+/// (huge, negative, fractional, non-numeric).
+fn count_like() -> impl Strategy<Value = String> {
+    (0usize..4, 0u64..6, token()).prop_map(|(kind, n, t)| if kind == 0 { t } else { n.to_string() })
+}
+
+/// A verify-case document: a state count that is usually small and
+/// usually matches its arrays (so `build` runs), sometimes any token;
+/// count-like array entries and 0–4 transition triples.
+fn case_like() -> impl Strategy<Value = String> {
+    let triple =
+        (count_like(), count_like(), count_like()).prop_map(|(i, j, r)| format!("[{i},{j},{r}]"));
+    (
+        (0usize..5, 0usize..4, token()),
+        count_like(),
+        prop::collection::vec(triple, 0..5),
+        prop::collection::vec(count_like(), 15),
+        token(),
+    )
+        .prop_map(|((n, kind, n_token), order, transitions, entries, t)| {
+            // kind 0: a hostile count; 1: arrays of their own length;
+            // otherwise arrays of exactly n entries.
+            let lens = match kind {
+                1 => [entries.len() % 5, n, (n + 1) % 5],
+                _ => [n; 3],
+            };
+            let n = if kind == 0 { n_token } else { n.to_string() };
+            let arrays: Vec<String> = entries
+                .chunks(5)
+                .zip(lens)
+                .map(|(c, len)| c[..len].join(","))
+                .collect();
+            format!(
+                "{{\"id\":\"p\",\"family\":\"dense\",\"n_states\":{n},\
+                 \"transitions\":[{}],\"drifts\":[{}],\"variances\":[{}],\
+                 \"initial\":[{}],\"t\":{t},\"order\":{order}}}",
+                transitions.join(","),
+                arrays[0],
+                arrays[1],
+                arrays[2]
+            )
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn verify_case_from_json_then_build_never_panics(text in case_like(), noise in soup()) {
+        for candidate in [text, noise] {
+            if let Ok(case) = VerifyCase::from_json(&candidate) {
+                prop_assert!(case.order <= MAX_CASE_ORDER);
+                prop_assert_eq!(case.drifts.len(), case.n_states);
+                prop_assert_eq!(case.variances.len(), case.n_states);
+                prop_assert_eq!(case.initial.len(), case.n_states);
+                let _ = case.build();
+            }
+        }
+    }
 
     #[test]
     fn json_parse_never_panics(line in soup()) {
@@ -166,6 +227,25 @@ proptest! {
             }
         }
         let _ = Event::parse_lines(&format!("{text}\n{noise}"));
+    }
+}
+
+#[test]
+fn verify_case_sizes_past_the_text_are_errors_not_aborts() {
+    // A 3-entry case claiming 1e15 states used to reach build() and
+    // abort on an 8 PB allocation; 1e19 panicked on capacity overflow
+    // and -5 silently became 0.
+    let base = "{\"id\":\"x\",\"family\":\"dense\",\"n_states\":N,\"transitions\":[[0,1,1.0]],\
+                \"drifts\":[0,1,2],\"variances\":[0,0,0],\"initial\":[1,0,0],\"t\":1,\"order\":2}";
+    assert!(VerifyCase::from_json(&base.replace('N', "3"))
+        .unwrap()
+        .build()
+        .is_ok());
+    for n in ["1e15", "1e19", "-5", "3.5", "1e999"] {
+        assert!(
+            VerifyCase::from_json(&base.replace('N', n)).is_err(),
+            "n_states {n} accepted"
+        );
     }
 }
 
