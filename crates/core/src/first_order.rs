@@ -12,7 +12,9 @@
 
 use crate::error::MrmError;
 use crate::model::SecondOrderMrm;
-use crate::uniformization::{poisson_accounting, MomentSolution, SolverConfig, SolverStats};
+use crate::uniformization::{
+    poisson_accounting, validate_times, MomentSolution, SolverConfig, SolverStats,
+};
 use somrm_linalg::IterationMatrix;
 use somrm_num::poisson::{self, PoissonWindow};
 use somrm_num::special::ln_factorial;
@@ -57,18 +59,8 @@ pub fn moments_first_order(
             reason: "model has non-zero variances; use the second-order solver".to_string(),
         });
     }
-    if !(t >= 0.0) || !t.is_finite() {
-        return Err(MrmError::InvalidParameter {
-            name: "t",
-            reason: format!("time must be finite and non-negative, got {t}"),
-        });
-    }
-    if !(config.epsilon > 0.0) || config.epsilon >= 1.0 {
-        return Err(MrmError::InvalidParameter {
-            name: "epsilon",
-            reason: format!("must lie in (0,1), got {}", config.epsilon),
-        });
-    }
+    config.validate(model.n_states())?;
+    validate_times(&[t])?;
 
     let n_states = model.n_states();
     let q = model.generator().uniformization_rate();
@@ -261,17 +253,21 @@ fn first_order_truncation(
             .map(|j| ln_bound_order(g, j))
             .fold(f64::NEG_INFINITY, f64::max)
     };
-    let mut hi = (qt as u64).max(16);
-    let mut guard = 0;
+    // Bracket clamped at the cap, with a `qt` beyond it refused before
+    // any (then O(qt)) bound evaluation — the same policy as the shared
+    // search, kept as a separate copy so this solver stays an
+    // independent reference for it.
+    let cap = config.max_iterations;
+    let exceeded = || MrmError::TruncationCapExceeded { qt, cap };
+    if qt as u64 > cap && config.epsilon < 1.0 {
+        return Err(exceeded());
+    }
+    let mut hi = (qt as u64).max(16).min(cap);
     while ln_bound(hi) >= ln_eps {
-        hi = hi.saturating_mul(2);
-        guard += 1;
-        if guard > 64 || hi > config.max_iterations {
-            return Err(MrmError::InvalidParameter {
-                name: "max_iterations",
-                reason: format!("truncation point exceeds cap (qt = {qt})"),
-            });
+        if hi == cap {
+            return Err(exceeded());
         }
+        hi = hi.saturating_mul(2).min(cap);
     }
     let mut lo = 0u64;
     while lo < hi {

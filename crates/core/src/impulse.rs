@@ -37,10 +37,13 @@
 
 use crate::error::MrmError;
 use crate::model::SecondOrderMrm;
-use crate::uniformization::{poisson_accounting, MomentSolution, SolverConfig, SolverStats};
+use crate::uniformization::{
+    poisson_accounting, truncation_point, unshift_moments, validate_times, weigh, MomentSolution,
+    SolverConfig, SolverStats,
+};
 use somrm_linalg::sparse::{CsrMatrix, TripletBuilder};
 use somrm_linalg::IterationMatrix;
-use somrm_num::poisson::{self, PoissonWindow};
+use somrm_num::poisson::PoissonWindow;
 use somrm_num::special::ln_factorial;
 use somrm_num::sum::NeumaierSum;
 use somrm_obs::{HealthMonitor, SolveReport, SolverSection};
@@ -153,18 +156,8 @@ pub fn moments_with_impulse(
     t: f64,
     config: &SolverConfig,
 ) -> Result<MomentSolution, MrmError> {
-    if !(t >= 0.0) || !t.is_finite() {
-        return Err(MrmError::InvalidParameter {
-            name: "t",
-            reason: format!("time must be finite and non-negative, got {t}"),
-        });
-    }
-    if !(config.epsilon > 0.0) || config.epsilon >= 1.0 {
-        return Err(MrmError::InvalidParameter {
-            name: "epsilon",
-            reason: format!("must lie in (0,1), got {}", config.epsilon),
-        });
-    }
+    config.validate(model.base().n_states())?;
+    validate_times(&[t])?;
     // No impulses: delegate to the plain solver.
     if model.max_impulse == 0.0 {
         return crate::uniformization::moments(model.base(), order, t, config);
@@ -218,8 +211,12 @@ pub fn moments_with_impulse(
     drop(setup);
 
     let qt = q * t;
-    let (g_limit, error_bounds) =
-        rec.time("solve.truncation", || impulse_truncation(qt, d, order, config))?;
+    let (g_limit, error_bounds) = rec.time("solve.truncation", || {
+        // `4ʲ` front factor instead of `2`, and `G ≥ 2·order` so the
+        // bound derivation applies (see module docs).
+        let ln_4 = 4.0f64.ln();
+        truncation_point(qt, d, order, |j| j as f64 * ln_4, 2 * order as u64, config)
+    })?;
     let error_bound = error_bounds.iter().copied().fold(0.0, f64::max);
     if rec.enabled() {
         rec.gauge_set("solver.q", q);
@@ -317,16 +314,8 @@ pub fn moments_with_impulse(
             })
             .collect()
     };
-    let per_state = unshift(&shifted_moments, shift, t);
-    let weighted = (0..=order)
-        .map(|j| {
-            per_state[j]
-                .iter()
-                .zip(base.initial())
-                .map(|(&v, &p)| v * p)
-                .sum()
-        })
-        .collect();
+    let per_state = unshift_moments(&shifted_moments, shift, t);
+    let weighted = weigh(&per_state, base.initial());
     drop(assemble);
     let report = rec.enabled().then(|| {
         Arc::new(SolveReport {
@@ -370,92 +359,6 @@ pub fn moments_with_impulse(
         error_bounds,
         report,
     })
-}
-
-/// Impulse-extended truncation: `4ʲ` front factor instead of `2` (see
-/// module docs), worst order wins, `G ≥ 2·order` enforced so the bound
-/// derivation applies.
-fn impulse_truncation(
-    qt: f64,
-    d: f64,
-    order: usize,
-    config: &SolverConfig,
-) -> Result<(u64, Vec<f64>), MrmError> {
-    if qt == 0.0 {
-        return Ok((0, vec![0.0; order + 1]));
-    }
-    let ln_front: Vec<f64> = (0..=order)
-        .map(|j| {
-            (j as f64) * 4.0f64.ln()
-                + j as f64 * d.ln()
-                + ln_factorial(j as u64)
-                + j as f64 * qt.ln()
-        })
-        .collect();
-    let ln_eps = config.epsilon.ln();
-    let ln_bound_order = |g: u64, j: usize| {
-        let tail = if g >= j as u64 {
-            poisson::ln_tail_above(qt, g - j as u64)
-        } else {
-            0.0
-        };
-        ln_front[j] + tail
-    };
-    let ln_bound = |g: u64| {
-        (0..=order)
-            .map(|j| ln_bound_order(g, j))
-            .fold(f64::NEG_INFINITY, f64::max)
-    };
-    let mut hi = (qt as u64).max(16);
-    let mut guard = 0;
-    while ln_bound(hi) >= ln_eps {
-        hi = hi.saturating_mul(2);
-        guard += 1;
-        if guard > 64 || hi > config.max_iterations {
-            return Err(MrmError::InvalidParameter {
-                name: "max_iterations",
-                reason: format!("truncation point exceeds cap (qt = {qt})"),
-            });
-        }
-    }
-    let mut lo = 0u64;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if ln_bound(mid) < ln_eps {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    // The bound derivation needs G ≥ 2·order; the per-order bounds are
-    // evaluated at the G actually used (raising G only tightens them).
-    let g = hi.max(2 * order as u64);
-    let per_order = (0..=order).map(|j| ln_bound_order(g, j).exp()).collect();
-    Ok((g, per_order))
-}
-
-fn unshift(shifted: &[Vec<f64>], shift: f64, t: f64) -> Vec<Vec<f64>> {
-    if shift == 0.0 {
-        return shifted.to_vec();
-    }
-    let order = shifted.len() - 1;
-    let n_states = shifted[0].len();
-    let c = shift * t;
-    (0..=order)
-        .map(|n| {
-            (0..n_states)
-                .map(|i| {
-                    (0..=n)
-                        .map(|j| {
-                            somrm_num::special::binomial(n as u32, j as u32)
-                                * c.powi((n - j) as i32)
-                                * shifted[j][i]
-                        })
-                        .sum()
-                })
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]

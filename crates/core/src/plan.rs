@@ -47,7 +47,6 @@
 
 use crate::error::MrmError;
 use crate::model::{SecondOrderMrm, DISTRIBUTION_TOLERANCE};
-use crate::terminal::terminal_truncation;
 use crate::uniformization::{
     attach_degenerate_report, deterministic_solution, frozen_chain_solution, poisson_accounting,
     pool_section, truncation_point, unshift_moments, unshift_weighted, validate_times, weigh,
@@ -59,12 +58,13 @@ use somrm_linalg::{
     OperatorMatrix, ResolvedKernel, UniformizedBirthDeath, WorkerPool,
 };
 use somrm_num::poisson::PoissonWindow;
-use somrm_num::special::{binomial, ln_factorial};
+use somrm_num::special::ln_factorial;
 use somrm_num::sum::NeumaierSum;
 use somrm_obs::{
     Event, HealthMonitor, MemCategory, MemLedger, PoissonStat, SolveReport,
     SolverSection,
 };
+use std::f64::consts::LN_2;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -155,10 +155,11 @@ pub fn model_digest(model: &SecondOrderMrm) -> u64 {
 /// Model- and config-dependent solver state reusable across executes.
 ///
 /// Present only when `q > 0` (a frozen chain never runs the recursion).
-/// When the raw `d` is zero the normalized vectors are computed with the
-/// terminal solver's `f64::MIN_POSITIVE` floor — the plain sweep takes
-/// its exact degenerate path and never reads them, while the terminal
-/// path reproduces its historical values bit-for-bit.
+/// When the raw `d` is zero the normalized vectors are computed with `d`
+/// floored at `f64::MIN_POSITIVE`: an unweighted sweep takes its exact
+/// degenerate path and never reads them, while a terminal-weighted sweep
+/// (which has no closed form) runs the recursion with that same floored
+/// `d` in its truncation and assembly.
 #[derive(Debug)]
 struct PlanKernel {
     matrix: IterationMatrix,
@@ -168,6 +169,19 @@ struct PlanKernel {
     /// serial plans. Behind a mutex so `execute(&self)` can hand the
     /// kernel exclusive access while the plan itself is shared (`Arc`).
     pool: Option<Mutex<WorkerPool>>,
+}
+
+/// What one [`SolvePlan::sweep`] accumulates.
+#[derive(Debug, Clone, Copy)]
+enum Sweep<'w> {
+    /// Only the π-projected scalars ([`SolvePlan::execute_for`]).
+    Projected,
+    /// Per-state accumulators from `U⁽⁰⁾(0) = 1`
+    /// ([`SolvePlan::execute_per_state`]).
+    PerState,
+    /// Per-state accumulators from `U⁽⁰⁾(0) = w`
+    /// ([`SolvePlan::execute_terminal`]).
+    Terminal(&'w [f64]),
 }
 
 /// A prepared solve: everything derived from `(model, config)` alone,
@@ -425,7 +439,7 @@ impl SolvePlan {
         if self.q == 0.0 || self.d == 0.0 {
             return Ok((0, vec![0.0; order + 1]));
         }
-        truncation_point(self.q * t_max, self.d, order, &self.config)
+        truncation_point(self.q * t_max, self.d, order, |_| LN_2, 0, &self.config)
     }
 
     /// π-weighted moments at several time points in one pass of the
@@ -444,7 +458,9 @@ impl SolvePlan {
     /// # Errors
     ///
     /// Returns [`MrmError::InvalidParameter`] for a negative/non-finite
-    /// time, `order > max_order`, or if the iteration cap is exceeded.
+    /// time or `order > max_order`, and
+    /// [`MrmError::TruncationCapExceeded`] if the iteration cap is
+    /// exceeded.
     pub fn execute(&self, times: &[f64], order: usize) -> Result<Vec<MomentSolution>, MrmError> {
         let mut out = self.execute_for(&[self.model.initial()], times, order)?;
         Ok(out.remove(0))
@@ -479,7 +495,7 @@ impl SolvePlan {
             }
             validate_distribution(pi, DISTRIBUTION_TOLERANCE)?;
         }
-        self.sweep(initials, times, order, true)
+        self.sweep(initials, times, order, Sweep::Projected)
     }
 
     /// Moments at several time points in one pass of the `U`-recursion,
@@ -497,19 +513,57 @@ impl SolvePlan {
         times: &[f64],
         order: usize,
     ) -> Result<Vec<MomentSolution>, MrmError> {
-        let mut out = self.sweep(&[self.model.initial()], times, order, false)?;
+        let mut out = self.sweep(&[self.model.initial()], times, order, Sweep::PerState)?;
         Ok(out.remove(0))
     }
 
-    /// The shared sweep of [`SolvePlan::execute_for`] (`projected`, any
-    /// number of `π`) and [`SolvePlan::execute_per_state`] (one `π`).
-    /// Returns one solution vector per `π`.
+    /// Terminal-weighted moments `E[Bⁿ(t)·w_{Z(t)} | Z(0) = i]` — the
+    /// per-query half of [`crate::terminal::moments_terminal_weighted`],
+    /// bit-identical to a cold call. This is the per-state sweep at one
+    /// time point with `U⁽⁰⁾(0) = w`, so `w = 1` reproduces
+    /// [`SolvePlan::execute_per_state`] bit for bit whenever `d > 0`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SolvePlan::execute`], plus the length/validity checks
+    /// on `terminal_weights`.
+    pub fn execute_terminal(
+        &self,
+        t: f64,
+        terminal_weights: &[f64],
+        order: usize,
+    ) -> Result<MomentSolution, MrmError> {
+        self.check_order(order)?;
+        let n_states = self.n_states();
+        if terminal_weights.len() != n_states {
+            return Err(MrmError::DimensionMismatch {
+                what: "terminal weight vector",
+                expected: n_states,
+                actual: terminal_weights.len(),
+            });
+        }
+        for (i, &w) in terminal_weights.iter().enumerate() {
+            if !(w >= 0.0) || !w.is_finite() {
+                return Err(MrmError::InvalidParameter {
+                    name: "terminal_weights",
+                    reason: format!("weight of state {i} is {w}"),
+                });
+            }
+        }
+        let mode = Sweep::Terminal(terminal_weights);
+        let mut out = self.sweep(&[self.model.initial()], &[t], order, mode)?;
+        Ok(out.remove(0).remove(0))
+    }
+
+    /// The one uniformization driver behind every execute. Returns one
+    /// solution vector per `π` (`mode` other than
+    /// [`Sweep::Projected`] takes exactly one).
     fn sweep(
         &self,
         initials: &[&[f64]],
         times: &[f64],
         order: usize,
-        projected: bool,
+        mode: Sweep<'_>,
     ) -> Result<Vec<Vec<MomentSolution>>, MrmError> {
         self.check_order(order)?;
         validate_times(times)?;
@@ -519,10 +573,19 @@ impl SolvePlan {
         let model = &self.model;
         let config = &self.config;
         let rec = &config.recorder;
+        let (projected, weights) = match mode {
+            Sweep::Projected => (true, None),
+            Sweep::PerState => (false, None),
+            Sweep::Terminal(w) => (false, Some(w)),
+        };
+        let (span, command) = match weights {
+            Some(_) => ("plan.execute_terminal", "terminal"),
+            None => ("plan.execute", "moments"),
+        };
         // The outer execute span covers every path (degenerate ones
         // included): serve-side cost attribution needs the full
         // per-query wall time, not just the recursion.
-        let _execute = rec.span("plan.execute");
+        let _execute = rec.span(span);
         rec.counter_add("plan.executes", 1);
         let n_states = model.n_states();
         let (n_times, order1) = (times.len(), order + 1);
@@ -536,15 +599,25 @@ impl SolvePlan {
             });
         }
 
-        if q == 0.0 || d == 0.0 {
+        if q == 0.0 || (d == 0.0 && weights.is_none()) {
             // Exact paths, no recursion: per-state moments once per
             // time, weighted per π. (`d = 0` moments are deterministic,
-            // `(řt)ʲ` whatever the distribution.)
+            // `(řt)ʲ` whatever the distribution; terminal weights run
+            // the recursion instead.) A frozen chain keeps its state,
+            // so `w_{Z(t)} = w_{Z(0)}` scales the per-state moments.
             let base: Vec<MomentSolution> = times
                 .iter()
                 .map(|&t| {
                     if q == 0.0 {
-                        frozen_chain_solution(model, order, t)
+                        let mut s = frozen_chain_solution(model, order, t);
+                        if let Some(w) = weights {
+                            for m in &mut s.per_state {
+                                for (v, &wi) in m.iter_mut().zip(w) {
+                                    *v *= wi;
+                                }
+                            }
+                        }
+                        s
                     } else {
                         deterministic_solution(model, order, t, shift)
                     }
@@ -587,6 +660,9 @@ impl SolvePlan {
             }
             return Ok(out);
         }
+        // Only a terminal sweep gets here with `d = 0`: it runs with the
+        // floor the plan's normalized vectors were built with.
+        let d = if d > 0.0 { d } else { f64::MIN_POSITIVE };
         let pk = self.kernel.as_ref().expect("kernel built whenever q > 0");
         let matrix = &pk.matrix;
         let variant = config.kernel.resolve();
@@ -605,13 +681,18 @@ impl SolvePlan {
 
         let t_max = times.iter().copied().fold(0.0, f64::max);
         let qt = q * t_max;
-        let (g_limit, error_bounds) =
-            rec.time("solve.truncation", || self.truncation(t_max, order))?;
+        // Theorem 4's front constant: 2, times max(1, ‖w‖∞) under
+        // terminal weights (Lemma 2 bounds the coefficients by ‖w‖∞).
+        let ln_c =
+            LN_2 + weights.map_or(0.0, |w| w.iter().copied().fold(0.0, f64::max).max(1.0).ln());
+        let (g_limit, error_bounds) = rec.time("solve.truncation", || {
+            truncation_point(qt, d, order, |_| ln_c, 0, config)
+        })?;
         let error_bound = error_bounds.iter().copied().fold(0.0, f64::max);
         if ev.enabled() {
             ev.emit(&Event::Truncation {
                 qt,
-                g: g_limit as u64,
+                g: g_limit,
                 error_bounds: error_bounds.clone(),
             });
         }
@@ -662,7 +743,7 @@ impl SolvePlan {
             Vec::new()
         };
 
-        let u0 = vec![1.0; n_states];
+        let u0 = weights.map_or_else(|| vec![1.0; n_states], <[f64]>::to_vec);
         let mut pool_guard = Self::lock_pool(pk);
         let mut kernel = FusedMomentKernel::with_pool(
             matrix,
@@ -748,8 +829,8 @@ impl SolvePlan {
                         }
                         if ev.enabled() {
                             ev.emit(&Event::Health {
-                                k: k as u64,
-                                g: g_limit as u64,
+                                k,
+                                g: g_limit,
                                 u0_mass: h.u0_mass_last(),
                                 anomalies: h.anomalies(),
                             });
@@ -762,8 +843,8 @@ impl SolvePlan {
                         let eta_s = (k > 0)
                             .then(|| elapsed * (g_limit - k) as f64 / k as f64);
                         ev.emit(&Event::Progress {
-                            k: k as u64,
-                            g: g_limit as u64,
+                            k,
+                            g: g_limit,
                             percent: 100.0 * k as f64 / g_limit.max(1) as f64,
                             eta_s,
                         });
@@ -797,6 +878,10 @@ impl SolvePlan {
             iterations: g_limit,
             error_bound,
         };
+        // `V⁽ʲ⁾ = j!·dʲ·Σ_k w_k·U⁽ʲ⁾(k)`: the per-order scale of Theorem 3.
+        let scales: Vec<f64> = (0..=order)
+            .map(|j| (ln_factorial(j as u64) + j as f64 * d.ln()).exp())
+            .collect();
         let mut solutions: Vec<Vec<MomentSolution>> = rec.time("solve.assemble", || {
             initials
                 .iter()
@@ -809,9 +894,9 @@ impl SolvePlan {
                             let (per_state, weighted) = if projected {
                                 let cell = (p * n_times + ti) * order1;
                                 let sums = &sums[cell..cell + order1];
-                                (Vec::new(), self.assemble_projected(sums, pi, t))
+                                (Vec::new(), self.assemble_projected(sums, pi, &scales, t))
                             } else {
-                                self.assemble_per_state(&kernel, ti, pi, order, t)
+                                self.assemble_per_state(&kernel, ti, pi, &u0, &scales, t)
                             };
                             MomentSolution {
                                 t,
@@ -829,7 +914,7 @@ impl SolvePlan {
         if rec.enabled() {
             let health_section = health.map(|h| h.finish(rec));
             let report = Arc::new(SolveReport {
-                command: "moments".to_string(),
+                command: command.to_string(),
                 solver: Some(SolverSection {
                     q,
                     d,
@@ -858,7 +943,7 @@ impl SolvePlan {
         }
         if ev.enabled() {
             ev.emit(&Event::Complete {
-                g: g_limit as u64,
+                g: g_limit,
                 error_bound,
             });
         }
@@ -866,8 +951,15 @@ impl SolvePlan {
     }
 
     /// `π·V⁽ʲ⁾(t)` for `j = 0 ..= order` from the projected sums
-    /// `Σ_k w_k·c⁽ʲ⁾(k)` of one `(π, t)` cell.
-    fn assemble_projected(&self, sums: &[NeumaierSum], pi: &[f64], t: f64) -> Vec<f64> {
+    /// `Σ_k w_k·c⁽ʲ⁾(k)` of one `(π, t)` cell and the per-order
+    /// `scales[j] = j!·dʲ`.
+    fn assemble_projected(
+        &self,
+        sums: &[NeumaierSum],
+        pi: &[f64],
+        scales: &[f64],
+        t: f64,
+    ) -> Vec<f64> {
         if t == 0.0 {
             // Same arithmetic as weighting the per-state δ-moments.
             return (0..sums.len())
@@ -879,30 +971,39 @@ impl SolvePlan {
         }
         let shifted: Vec<f64> = sums
             .iter()
-            .enumerate()
-            .map(|(j, a)| (ln_factorial(j as u64) + j as f64 * self.d.ln()).exp() * a.value())
+            .zip(scales)
+            .map(|(a, &scale)| scale * a.value())
             .collect();
         unshift_weighted(&shifted, self.shift, t)
     }
 
     /// Per-state moments at time index `ti` from the kernel's
-    /// accumulators, and their `π`-weighted sums.
+    /// accumulators (seeded with `U⁽⁰⁾(0) = u0`) and the per-order
+    /// `scales[j] = j!·dʲ`, and their `π`-weighted sums.
     fn assemble_per_state(
         &self,
         kernel: &FusedMomentKernel,
         ti: usize,
         pi: &[f64],
-        order: usize,
+        u0: &[f64],
+        scales: &[f64],
         t: f64,
     ) -> (Vec<Vec<f64>>, Vec<f64>) {
         let shifted_moments: Vec<Vec<f64>> = if t == 0.0 {
-            (0..=order)
-                .map(|j| vec![if j == 0 { 1.0 } else { 0.0 }; self.n_states()])
+            (0..scales.len())
+                .map(|j| {
+                    if j == 0 {
+                        u0.to_vec()
+                    } else {
+                        vec![0.0; u0.len()]
+                    }
+                })
                 .collect()
         } else {
-            (0..=order)
-                .map(|j| {
-                    let scale = (ln_factorial(j as u64) + j as f64 * self.d.ln()).exp();
+            scales
+                .iter()
+                .enumerate()
+                .map(|(j, &scale)| {
                     kernel
                         .accumulated(ti, j)
                         .iter()
@@ -914,292 +1015,6 @@ impl SolvePlan {
         let per_state = unshift_moments(&shifted_moments, self.shift, t);
         let weighted = weigh(&per_state, pi);
         (per_state, weighted)
-    }
-
-    /// Terminal-weighted moments — the per-query half of
-    /// [`crate::terminal::moments_terminal_weighted`], bit-identical to
-    /// a cold call.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SolvePlan::execute`], plus the length/validity checks
-    /// on `terminal_weights`.
-    pub fn execute_terminal(
-        &self,
-        t: f64,
-        terminal_weights: &[f64],
-        order: usize,
-    ) -> Result<MomentSolution, MrmError> {
-        self.check_order(order)?;
-        let model = &self.model;
-        let n_states = model.n_states();
-        if terminal_weights.len() != n_states {
-            return Err(MrmError::DimensionMismatch {
-                what: "terminal weight vector",
-                expected: n_states,
-                actual: terminal_weights.len(),
-            });
-        }
-        for (i, &w) in terminal_weights.iter().enumerate() {
-            if !(w >= 0.0) || !w.is_finite() {
-                return Err(MrmError::InvalidParameter {
-                    name: "terminal_weights",
-                    reason: format!("weight of state {i} is {w}"),
-                });
-            }
-        }
-        validate_times(std::slice::from_ref(&t))?;
-
-        let (q, shift) = (self.q, self.shift);
-        let w_max = terminal_weights.iter().cloned().fold(0.0, f64::max);
-
-        if q == 0.0 || t == 0.0 {
-            // Frozen chain / zero horizon: w_{Z(t)} = w_{Z(0)}.
-            let plain = self
-                .execute_per_state(&[t], order)?
-                .pop()
-                .expect("one time point requested");
-            let per_state: Vec<Vec<f64>> = (0..=order)
-                .map(|n| {
-                    (0..n_states)
-                        .map(|i| plain.per_state[n][i] * terminal_weights[i])
-                        .collect()
-                })
-                .collect();
-            let weighted = weigh(&per_state, model.initial());
-            return Ok(MomentSolution {
-                t,
-                per_state,
-                weighted,
-                stats: plain.stats,
-                error_bounds: plain.error_bounds.clone(),
-                report: plain.report.clone(),
-            });
-        }
-
-        let config = &self.config;
-        let rec = &config.recorder;
-        // Mirrors `execute`'s outer span (the q = 0 / t = 0 paths above
-        // delegate to `execute_per_state` and are covered by its span).
-        let _execute = rec.span("plan.execute_terminal");
-        rec.counter_add("plan.executes", 1);
-        let ev = &config.events;
-        if ev.enabled() {
-            ev.emit(&Event::SolveStart {
-                order: order as u64,
-                n_states: n_states as u64,
-                n_times: 1,
-            });
-        }
-        // The terminal solver floors d at the smallest positive double
-        // (it has no exact d = 0 path); the plan's normalized vectors
-        // were computed with the same floor.
-        let d = self.d.max(f64::MIN_POSITIVE);
-        let pk = self.kernel.as_ref().expect("kernel built whenever q > 0");
-        let matrix = &pk.matrix;
-        let variant = config.kernel.resolve();
-        if ev.enabled() {
-            ev.emit(&Event::PlanResolved {
-                format: matrix.format_name().to_string(),
-                n_states: n_states as u64,
-                matrix_bytes: matrix.footprint_bytes() as u64,
-                plan_bytes: ((pk.r_prime.len() + pk.s_half.len()) * std::mem::size_of::<f64>())
-                    as u64,
-                q,
-                d,
-                shift,
-            });
-        }
-
-        let qt = q * t;
-        let (g_limit, error_bounds) = rec.time("solve.truncation", || {
-            terminal_truncation(qt, d, order, w_max, config)
-        })?;
-        let error_bound = error_bounds.iter().copied().fold(0.0, f64::max);
-        if ev.enabled() {
-            ev.emit(&Event::Truncation {
-                qt,
-                g: g_limit as u64,
-                error_bounds: error_bounds.clone(),
-            });
-        }
-        if rec.enabled() {
-            rec.gauge_set("solver.q", q);
-            rec.gauge_set("solver.d", d);
-            rec.gauge_set("solver.qt", qt);
-            rec.gauge_set("solver.shift", shift);
-            rec.gauge_set("solver.g", g_limit as f64);
-            rec.gauge_set("solver.error_bound", error_bound);
-            rec.gauge_set(
-                "solver.matrix_format",
-                match matrix {
-                    IterationMatrix::Csr(_) => 0.0,
-                    IterationMatrix::Dia(_) => 1.0,
-                    IterationMatrix::Operator(_) => 2.0,
-                },
-            );
-            rec.gauge_set("solver.bandwidth", matrix.bandwidth() as f64);
-            rec.gauge_set(
-                "solver.kernel_variant",
-                if variant == ResolvedKernel::Simd { 1.0 } else { 0.0 },
-            );
-        }
-        let window = rec.time("solve.poisson", || Some(PoissonWindow::exact(qt, g_limit)));
-
-        let mut pool_guard = Self::lock_pool(pk);
-        let mut kernel = FusedMomentKernel::with_pool(
-            matrix,
-            &pk.r_prime,
-            &pk.s_half,
-            order,
-            1,
-            terminal_weights,
-            pool_guard.as_deref_mut(),
-        );
-        kernel.set_variant(variant);
-        kernel.set_recorder(rec.clone());
-        if let Some(ledger) = &self.mem {
-            let kernel_bytes = kernel.footprint_bytes() as u64;
-            ledger.set(MemCategory::KernelBuffers, kernel_bytes);
-            rec.gauge_set(
-                MemCategory::KernelBuffers.gauge_name(),
-                kernel_bytes as f64,
-            );
-        }
-        let mut health =
-            (rec.enabled() || ev.enabled()).then(|| HealthMonitor::new(g_limit, order));
-        let ev_progress = ev
-            .enabled()
-            .then(|| (Instant::now(), (g_limit / 20).max(1)));
-        {
-            let _recursion = rec.span("solve.recursion");
-            let w = window.as_ref().expect("qt > 0 here");
-            for k in 0..=g_limit {
-                let wk = w.weight(k);
-                let active = [(0usize, wk)];
-                kernel.step(if wk > 0.0 { &active } else { &[] }, k < g_limit);
-                if let Some(h) = health.as_mut() {
-                    if h.should_sample(k, g_limit) {
-                        for j in 0..=order {
-                            h.observe_order(j, kernel.u_order(j));
-                        }
-                        if ev.enabled() {
-                            ev.emit(&Event::Health {
-                                k: k as u64,
-                                g: g_limit as u64,
-                                u0_mass: h.u0_mass_last(),
-                                anomalies: h.anomalies(),
-                            });
-                        }
-                    }
-                }
-                if let Some((start, stride)) = &ev_progress {
-                    if k % stride == 0 || k == g_limit {
-                        let elapsed = start.elapsed().as_secs_f64();
-                        let eta_s = (k > 0)
-                            .then(|| elapsed * (g_limit - k) as f64 / k as f64);
-                        ev.emit(&Event::Progress {
-                            k: k as u64,
-                            g: g_limit as u64,
-                            percent: 100.0 * k as f64 / g_limit.max(1) as f64,
-                            eta_s,
-                        });
-                    }
-                }
-            }
-        }
-        if let Some(ledger) = &self.mem {
-            ledger.observe_rss();
-        }
-        if let Some(h) = health.as_mut() {
-            for j in 0..=order {
-                for a in kernel.accumulated(0, j) {
-                    h.observe_compensation(a.raw_sum(), a.compensation());
-                }
-            }
-        }
-
-        let _assemble = rec.span("solve.assemble");
-        let shifted_moments: Vec<Vec<f64>> = (0..=order)
-            .map(|j| {
-                let scale = (ln_factorial(j as u64) + j as f64 * d.ln()).exp();
-                kernel
-                    .accumulated(0, j)
-                    .iter()
-                    .map(|a| scale * a.value())
-                    .collect()
-            })
-            .collect();
-        // Un-shift the *defective* moments:
-        // E[(B̌+c)ⁿ w] = Σ C(n,j)c^{n−j}E[B̌ʲ w].
-        let per_state = if shift == 0.0 {
-            shifted_moments
-        } else {
-            let c = shift * t;
-            (0..=order)
-                .map(|n| {
-                    (0..n_states)
-                        .map(|i| {
-                            (0..=n)
-                                .map(|j| {
-                                    binomial(n as u32, j as u32)
-                                        * c.powi((n - j) as i32)
-                                        * shifted_moments[j][i]
-                                })
-                                .sum()
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        let weighted = weigh(&per_state, model.initial());
-        drop(_assemble);
-        let report = rec.enabled().then(|| {
-            Arc::new(SolveReport {
-                command: "terminal".to_string(),
-                solver: Some(SolverSection {
-                    q,
-                    d,
-                    qt,
-                    shift,
-                    g: g_limit,
-                    max_iterations: config.max_iterations,
-                    epsilon: config.epsilon,
-                    order,
-                    n_states,
-                    n_times: 1,
-                    threads: kernel.threads(),
-                    kernel_variant: variant.name().to_string(),
-                    error_bound,
-                    error_bounds: error_bounds.clone(),
-                    poisson: poisson_accounting(&[t], std::slice::from_ref(&window), g_limit),
-                }),
-                pool: kernel.pool_stats().map(pool_section),
-                health: health.take().map(|h| h.finish(rec)),
-                mem: self.mem.as_ref().map(|l| l.section()),
-                metrics: rec.snapshot().unwrap_or_default(),
-            })
-        });
-        if ev.enabled() {
-            ev.emit(&Event::Complete {
-                g: g_limit as u64,
-                error_bound,
-            });
-        }
-        Ok(MomentSolution {
-            t,
-            per_state,
-            weighted,
-            stats: SolverStats {
-                q,
-                d,
-                shift,
-                iterations: g_limit,
-                error_bound,
-            },
-            error_bounds,
-            report,
-        })
     }
 
     /// Exact resident bytes of the plan's owned solver state: the
@@ -1522,6 +1337,49 @@ mod tests {
         let cold = moments_terminal_weighted(&m, 2, 0.8, &w, &SolverConfig::default()).unwrap();
         assert_eq!(warm.weighted, cold.weighted);
         assert_eq!(warm.per_state, cold.per_state);
+    }
+
+    #[test]
+    fn unit_terminal_weights_are_the_per_state_sweep_bitwise() {
+        // `execute_terminal` is the per-state sweep seeded with w: at
+        // w = 1 it must reproduce `execute_per_state` bit for bit, on
+        // every backend and thread count, with and without the drift
+        // shift (ř < 0 exercises the shared compensated un-shift).
+        let shifted = {
+            let m = chain(6);
+            let rates: Vec<f64> = m.rates().iter().map(|r| r - 0.4).collect();
+            SecondOrderMrm::new(
+                m.generator().clone(),
+                rates,
+                m.variances().to_vec(),
+                m.initial().to_vec(),
+            )
+            .unwrap()
+        };
+        for m in [chain(6), shifted] {
+            for format in [MatrixFormat::Csr, MatrixFormat::Dia, MatrixFormat::Operator] {
+                for threads in [1, 2, 4] {
+                    let config = SolverConfig {
+                        format,
+                        threads,
+                        parallel_threshold: 0,
+                        ..SolverConfig::default()
+                    };
+                    let plan = SolvePlan::build(&m, 3, &config).unwrap();
+                    assert!(plan.d() > 0.0);
+                    for t in [0.0, 0.4, 2.5] {
+                        let terminal = plan.execute_terminal(t, &[1.0; 6], 3).unwrap();
+                        let plain = plan.execute_per_state(&[t], 3).unwrap().remove(0);
+                        let shift = plan.shift();
+                        let at = format!("shift {shift}, {format:?}, {threads} threads, t {t}");
+                        assert_eq!(terminal.per_state, plain.per_state, "{at}");
+                        assert_eq!(terminal.weighted, plain.weighted, "{at}");
+                        assert_eq!(terminal.error_bounds, plain.error_bounds, "{at}");
+                        assert_eq!(terminal.stats, plain.stats, "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -493,9 +493,12 @@ pub(crate) fn validate_times(times: &[f64]) -> Result<(), MrmError> {
     Ok(())
 }
 
-/// Theorem 4 (with two corrections): the smallest `G` with
-/// `2·dʲ·j!·(qt)ʲ · P[Pois(qt) > G − j] < ε` for every requested order
-/// `j ≤ n`.
+/// Theorem 4 (with two corrections): the smallest `G ≥ g_min` with
+/// `C_j·dʲ·j!·(qt)ʲ · P[Pois(qt) > G − j] < ε` for every requested order
+/// `j ≤ n`, where `ln_c(j) = ln C_j` is the solver's front constant:
+/// `2` for the plain recursion, `2·max(1, ‖w‖∞)` for terminal weights
+/// `w` ([`crate::terminal`]), `4ʲ` for impulse rewards
+/// ([`crate::impulse`], which also needs `g_min = 2·order`).
 ///
 /// Corrections relative to the paper's eq. (11), documented in
 /// DESIGN.md §2:
@@ -516,18 +519,15 @@ pub(crate) fn truncation_point(
     qt: f64,
     d: f64,
     order: usize,
+    ln_c: impl Fn(usize) -> f64,
+    g_min: u64,
     config: &SolverConfig,
 ) -> Result<(u64, Vec<f64>), MrmError> {
     if qt == 0.0 {
         return Ok((0, vec![0.0; order + 1]));
     }
     let ln_front: Vec<f64> = (0..=order)
-        .map(|j| {
-            std::f64::consts::LN_2
-                + j as f64 * d.ln()
-                + ln_factorial(j as u64)
-                + j as f64 * qt.ln()
-        })
+        .map(|j| ln_c(j) + j as f64 * d.ln() + ln_factorial(j as u64) + j as f64 * qt.ln())
         .collect();
     let ln_eps = config.epsilon.ln();
     let ln_bound_order = |g: u64, j: usize| {
@@ -574,8 +574,14 @@ pub(crate) fn truncation_point(
             lo = mid + 1;
         }
     }
-    let per_order = (0..=order).map(|j| ln_bound_order(hi, j).exp()).collect();
-    Ok((hi, per_order))
+    // Raising G to the floor only tightens the per-order bounds, which
+    // are evaluated at the G actually run.
+    let g = hi.max(g_min);
+    if g > cap {
+        return Err(exceeded());
+    }
+    let per_order = (0..=order).map(|j| ln_bound_order(g, j).exp()).collect();
+    Ok((g, per_order))
 }
 
 /// Moments when the chain never leaves its initial state: per state `i`,
@@ -1100,28 +1106,161 @@ mod tests {
         // qt = 600 (q = 2, t = 300): the doubling bracket 600 → 1200 used
         // to cross a cap of 1000 and fail, although the minimal G fits
         // under it. The bracket now clamps at the cap, so every cap ≥ G
-        // gives the same G and the same bounds, and G − 1 is refused.
+        // gives the same G and the same bounds, and G − 1 is refused —
+        // for every solver: plain, terminal-weighted, impulse, and the
+        // first-order reference with its own copy of the search.
+        use crate::first_order::moments_first_order;
+        use crate::impulse::{moments_with_impulse, ImpulseMrm};
+        use crate::terminal::moments_terminal_weighted;
         let m = two_state_model([1.0, 1.0], [1.0, 1.0]);
-        let with_cap = |cap: u64| {
-            let cfg = SolverConfig {
-                max_iterations: cap,
-                ..SolverConfig::default()
-            };
-            moments(&m, 2, 300.0, &cfg)
+        let first = two_state_model([1.0, 3.0], [0.0, 0.0]);
+        let impulse = ImpulseMrm::new(m.clone(), &[(0, 1, 0.5)]).unwrap();
+        let cfg = |cap: u64| SolverConfig {
+            max_iterations: cap,
+            ..SolverConfig::default()
         };
-        let free = with_cap(SolverConfig::default().max_iterations).unwrap();
-        let g = free.stats.iterations;
-        assert!(g > 600 && g < 1000, "G = {g}");
-        for cap in [g, 1000, 2000] {
-            let sol = with_cap(cap).unwrap_or_else(|e| panic!("cap {cap}: {e}"));
-            assert_eq!(sol.stats.iterations, g, "cap {cap}");
-            assert_eq!(sol.error_bounds, free.error_bounds, "cap {cap}");
-            assert_eq!(sol.weighted, free.weighted, "cap {cap}");
+        type Solve<'a> = Box<dyn Fn(u64) -> Result<MomentSolution, MrmError> + 'a>;
+        let solvers: [(&str, Solve); 4] = [
+            ("plain", Box::new(|cap| moments(&m, 2, 300.0, &cfg(cap)))),
+            (
+                "terminal",
+                Box::new(|cap| moments_terminal_weighted(&m, 2, 300.0, &[3.0, 0.5], &cfg(cap))),
+            ),
+            (
+                "impulse",
+                Box::new(|cap| moments_with_impulse(&impulse, 2, 300.0, &cfg(cap))),
+            ),
+            (
+                "first-order",
+                Box::new(|cap| moments_first_order(&first, 2, 300.0, &cfg(cap))),
+            ),
+        ];
+        for (what, solve) in &solvers {
+            let free = solve(SolverConfig::default().max_iterations).unwrap();
+            let g = free.stats.iterations;
+            assert!(g > 600 && g < 1000, "{what}: G = {g}");
+            for cap in [g, 1000, 2000] {
+                let sol = solve(cap).unwrap_or_else(|e| panic!("{what}, cap {cap}: {e}"));
+                assert_eq!(sol.stats.iterations, g, "{what}, cap {cap}");
+                assert_eq!(sol.error_bounds, free.error_bounds, "{what}, cap {cap}");
+                assert_eq!(sol.weighted, free.weighted, "{what}, cap {cap}");
+            }
+            assert!(
+                matches!(
+                    solve(g - 1),
+                    Err(MrmError::TruncationCapExceeded { cap, .. }) if cap == g - 1
+                ),
+                "{what}"
+            );
         }
-        assert!(matches!(
-            with_cap(g - 1),
-            Err(MrmError::TruncationCapExceeded { cap, .. }) if cap == g - 1
-        ));
+    }
+
+    #[test]
+    fn terminal_and_impulse_truncation_keep_their_pinned_values() {
+        // G and the realized per-order bounds of terminal (‖w‖∞ ∈ {0.5,
+        // 1, 7}) and impulse solves, pinned bit for bit from the private
+        // searches these solvers ran before sharing `truncation_point`.
+        // The last row's impulse G = 12 is the `G ≥ 2·order` floor.
+        use crate::impulse::{moments_with_impulse, ImpulseMrm};
+        use crate::terminal::moments_terminal_weighted;
+        let m = two_state_model([1.0, 3.0], [0.5, 2.0]);
+        let impulse = ImpulseMrm::new(m.clone(), &[(0, 1, 0.8), (1, 0, 2.5)]).unwrap();
+        let cfg = SolverConfig::default();
+        #[rustfmt::skip]
+        let cases: &[(&str, f64, usize, u64, &[u64])] = &[
+            ("terminal, |w| <= 1", 0.05, 1, 6, &[
+                0x3dc3fd3b198bb12e, 0x3dfa4879fb8a417f,
+            ]),
+            ("terminal, |w| = 7", 0.05, 1, 7, &[
+                0x3d8bf21916d621ae, 0x3dc4fd17a79f7a0b,
+            ]),
+            ("impulse", 0.05, 1, 7, &[
+                0x3d4ff01cac626fa1, 0x3db3fd3b198bb137,
+            ]),
+            ("terminal, |w| <= 1", 1.5, 3, 25, &[
+                0x3cc96c8d71da908e, 0x3d1f220fd6bdce69, 0x3d8256109d52f50c,
+                0x3def1db8e990b7fa,
+            ]),
+            ("terminal, |w| = 7", 1.5, 3, 26, &[
+                0x3cc3b00283722a21, 0x3d1906db3c132644, 0x3d7ea5879762d736,
+                0x3deb1314884c7dd4,
+            ]),
+            ("impulse", 1.5, 3, 27, &[
+                0x3c53350f4285ca30, 0x3cd51802b16808b3, 0x3d665868511118fd,
+                0x3e011a15f3560385,
+            ]),
+            ("terminal, |w| <= 1", 40.0, 2, 159, &[
+                0x3cf54575fc43b6e3, 0x3d740fea4204bf89, 0x3e02ce380b0d457a,
+            ]),
+            ("terminal, |w| = 7", 40.0, 2, 161, &[
+                0x3d020e4683b40c58, 0x3d813d16674653e2, 0x3e105bcb1c60933d,
+            ]),
+            ("impulse", 40.0, 2, 163, &[
+                0x3ca38a071391633e, 0x3d4f78141b3a3036, 0x3e09307ca8e17829,
+            ]),
+            ("terminal, |w| <= 1", 0.01, 6, 7, &[
+                0x3c370300979056bd, 0x3c71437b30aef53d, 0x3cb6aaa50ebf1fbb,
+                0x3d032251644cc3d1, 0x3d51f33de7a223f8, 0x3da0d85bd6fd4c15,
+                0x3dec7945354bca6c,
+            ]),
+            ("terminal, |w| = 7", 0.01, 6, 8, &[
+                0x3bd6e783d33a3e0f, 0x3c1354712327530b, 0x3c5d00ba7abf87b9,
+                0x3cac8f5517b3605e, 0x3d0012964a030ac7, 0x3d52d9010003d8f8,
+                0x3da53992702aac97,
+            ]),
+            ("impulse", 0.01, 6, 12, &[
+                0x3950c3408aef93c9, 0x39c106c84f73ff7a, 0x3a3fedc42b374215,
+                0x3ac4950c11d1cfe9, 0x3b501531525f508a, 0x3bdc46dd17a163c2,
+                0x3c6a8452b95ea7f5,
+            ]),
+        ];
+        for &(what, t, order, g, bits) in cases {
+            let sols = match what {
+                "impulse" => vec![moments_with_impulse(&impulse, order, t, &cfg).unwrap()],
+                "terminal, |w| = 7" => {
+                    vec![moments_terminal_weighted(&m, order, t, &[7.0, 2.0], &cfg).unwrap()]
+                }
+                _ => [[0.5, 0.25], [1.0, 0.0]]
+                    .iter()
+                    .map(|w| moments_terminal_weighted(&m, order, t, w, &cfg).unwrap())
+                    .collect(),
+            };
+            for sol in sols {
+                assert_eq!(sol.stats.iterations, g, "{what}, t {t}, order {order}");
+                let got: Vec<u64> = sol.error_bounds.iter().map(|b| b.to_bits()).collect();
+                assert_eq!(got, bits, "{what}, t {t}, order {order}");
+            }
+        }
+    }
+
+    #[test]
+    fn first_order_and_impulse_solvers_validate_the_config() {
+        // `SolverConfig::validate` runs at every entry point: a zero
+        // thread count is a typed error here too, not a silent serial run.
+        use crate::first_order::moments_first_order;
+        use crate::impulse::{moments_with_impulse, ImpulseMrm};
+        let cfg = SolverConfig {
+            threads: 0,
+            ..SolverConfig::default()
+        };
+        let first = two_state_model([1.0, 3.0], [0.0, 0.0]);
+        let impulse =
+            ImpulseMrm::new(two_state_model([1.0, 3.0], [0.5, 2.0]), &[(0, 1, 1.0)]).unwrap();
+        for result in [
+            moments_first_order(&first, 2, 1.0, &cfg),
+            moments_with_impulse(&impulse, 2, 1.0, &cfg),
+        ] {
+            assert!(
+                matches!(
+                    result,
+                    Err(MrmError::InvalidParameter {
+                        name: "threads",
+                        ..
+                    })
+                ),
+                "got {result:?}"
+            );
+        }
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! and for the fused kernel's working set
 //! ([`FusedMomentKernel`](crate::fused::FusedMomentKernel)).
 
-use std::mem::size_of;
-
 use crate::dia::{DiaMatrix, IterationMatrix};
 use crate::operator::OperatorMatrix;
 use crate::sparse::CsrMatrix;
@@ -32,9 +30,7 @@ impl<T: crate::scalar::Scalar> FootprintBytes for CsrMatrix<T> {
     /// stored entry.
     fn footprint_bytes(&self) -> usize {
         let (row_ptr, col_idx, values) = self.csr_parts();
-        row_ptr.len() * size_of::<usize>()
-            + col_idx.len() * size_of::<usize>()
-            + values.len() * size_of::<T>()
+        size_of_val(row_ptr) + size_of_val(col_idx) + size_of_val(values)
     }
 }
 
@@ -42,7 +38,7 @@ impl FootprintBytes for DiaMatrix {
     /// One offset per stored diagonal + `n` doubles per stored diagonal
     /// (DIA pads every kept diagonal to full length).
     fn footprint_bytes(&self) -> usize {
-        self.offsets().len() * size_of::<isize>() + self.data().len() * size_of::<f64>()
+        size_of_val(self.offsets()) + size_of_val(self.data())
     }
 }
 

@@ -872,7 +872,7 @@ mod tests {
         // Levels with a zero up or down rate leave structural holes the
         // CSR stores nothing for; on non-negative inputs the padded
         // strips are bitwise-invisible (module docs).
-        let birth = |i: usize| if i % 3 == 0 { 0.0 } else { 2.0 };
+        let birth = |i: usize| if i.is_multiple_of(3) { 0.0 } else { 2.0 };
         let death = |i: usize| if i % 4 == 1 { 0.0 } else { 1.0 };
         let n = 41;
         let q = bd_generator(n, birth, death);

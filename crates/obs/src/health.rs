@@ -58,7 +58,7 @@ impl HealthMonitor {
 
     /// Whether iteration `k` (of `0..=g`) is on the sampling cadence.
     pub fn should_sample(&self, k: u64, g: u64) -> bool {
-        k % self.stride == 0 || k == g
+        k.is_multiple_of(self.stride) || k == g
     }
 
     /// Scans the order-`j` iterate block. Call once per order for each

@@ -156,7 +156,7 @@ fn stiff(rng: &mut StdRng, n: usize) -> Vec<(usize, usize, f64)> {
 /// rates only with probability 1/2, and with probability 1/8 the whole
 /// chain is absorbing (`q == 0`, the frozen-chain degenerate path).
 fn absorbing(rng: &mut StdRng, n: usize) -> Vec<(usize, usize, f64)> {
-    if rng.next_u64() % 8 == 0 {
+    if rng.next_u64().is_multiple_of(8) {
         return Vec::new();
     }
     let mut tr = Vec::new();
@@ -251,7 +251,7 @@ fn pick_time(
     // One case in twenty queries t = 0 exactly — the boundary where
     // every backend must return the delta-at-zero moments and where a
     // past accessor bug hid (see tests/regressions/t_zero.json).
-    if rng.next_u64() % 20 == 0 {
+    if rng.next_u64().is_multiple_of(20) {
         return 0.0;
     }
     let mut exit = vec![0.0f64; n];

@@ -108,8 +108,8 @@ fn chrome_trace_round_trips_with_nested_spans_and_worker_lanes() {
     for e in &complete {
         if e.get("name").and_then(|n| n.as_str()) == Some("kernel.pass") {
             assert_eq!(e.get("tid").unwrap().as_f64(), Some(main_tid));
-            assert!(ts(&&e) + slack >= r0, "pass starts inside the recursion");
-            assert!(ts(&&e) + dur(&&e) <= r1 + slack, "pass ends inside the recursion");
+            assert!(ts(&e) + slack >= r0, "pass starts inside the recursion");
+            assert!(ts(&e) + dur(&e) <= r1 + slack, "pass ends inside the recursion");
         }
     }
 

@@ -212,8 +212,8 @@ fn full_telemetry_leaves_every_response_byte_unchanged() {
 
     let dir = scratch_dir("identity");
     let registry = Arc::new(MetricsRegistry::new());
-    let mut solver = somrm::solver::SolverConfig::default();
-    solver.recorder = RecorderHandle::new(Arc::clone(&registry) as Arc<dyn Recorder>);
+    let recorder = RecorderHandle::new(Arc::clone(&registry) as Arc<dyn Recorder>);
+    let solver = somrm::solver::SolverConfig::default().with_recorder(recorder);
     let options = ServeOptions {
         solver,
         slow_trace: Some(SlowTraceOptions {
