@@ -24,8 +24,9 @@ pub struct CommonOpts {
     pub t: f64,
     /// Solver precision ε.
     pub epsilon: f64,
-    /// Solver worker threads (results are identical for any count; only
-    /// engaged on models above the solver's parallel threshold).
+    /// Solver worker threads (default: all CPUs; results are identical
+    /// for any count; only engaged on models at or above the solver's
+    /// parallel threshold).
     pub threads: usize,
     /// `--metrics` destination: `Some("-")` replaces the human-readable
     /// output with the JSON [`SolveReport`] on stdout; `Some(path)`
@@ -55,7 +56,7 @@ impl Default for CommonOpts {
         CommonOpts {
             t: 1.0,
             epsilon: 1e-9,
-            threads: 1,
+            threads: SolverConfig::default().threads,
             metrics: None,
             trace_out: None,
             format: MatrixFormat::Auto,

@@ -20,6 +20,7 @@ use somrm_cli::commands::{
     cmd_sweep, cmd_verify, CommonOpts, ServeTelemetryOpts, StatsFormat,
 };
 use somrm_cli::format::parse_model;
+use somrm_core::SolverConfig;
 use somrm_linalg::{KernelVariant, MatrixFormat};
 use std::process::ExitCode;
 
@@ -41,8 +42,8 @@ options:
   --samples K     simulation paths (default 100000)
   --seed S        simulation seed (default 1)
   --eps E         solver precision (default 1e-9)
-  --threads N     solver worker threads (default 1; results are
-                  identical for any count)
+  --threads N     solver worker threads (default: all CPUs; results are
+                  identical for any count; 1 forces serial)
   --format F      iteration-matrix storage: auto|csr|dia|operator
                   (default auto; results are identical for any choice;
                   operator runs matrix-free and needs a birth-death or
@@ -150,7 +151,7 @@ fn run() -> Result<String, String> {
     if args.first().map(String::as_str) == Some("serve") {
         let opts = CommonOpts {
             epsilon: flag(&args, "--eps", 1e-9)?,
-            threads: flag(&args, "--threads", 1usize)?,
+            threads: flag(&args, "--threads", SolverConfig::default().threads)?,
             metrics: opt_flag(&args, "--metrics")?,
             format: flag(&args, "--format", MatrixFormat::Auto)?,
             kernel: flag(&args, "--kernel", KernelVariant::from_env())?,
@@ -191,7 +192,7 @@ fn run() -> Result<String, String> {
     let opts = CommonOpts {
         t: flag(&args, "--t", 1.0)?,
         epsilon: flag(&args, "--eps", 1e-9)?,
-        threads: flag(&args, "--threads", 1usize)?,
+        threads: flag(&args, "--threads", SolverConfig::default().threads)?,
         metrics: opt_flag(&args, "--metrics")?,
         trace_out: opt_flag(&args, "--trace-out")?,
         format: flag(&args, "--format", MatrixFormat::Auto)?,

@@ -47,7 +47,7 @@ use somrm_num::sum::NeumaierSum;
 use somrm_obs::{
     EventLogHandle, PoissonStat, PoolSection, RecorderHandle, SolveReport, SolverSection,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Configuration of the randomization moment solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,18 +59,25 @@ pub struct SolverConfig {
     /// extreme `qt`; the bound of Theorem 4 always terminates, this cap
     /// only guards against absurd resource use).
     pub max_iterations: u64,
-    /// Worker threads for the fused iteration kernel (1 = serial). The
-    /// recursion itself is inherently sequential in `k`, so this
-    /// parallelizes within each step: the threads are spawned **once per
-    /// solve** into a [`somrm_linalg::WorkerPool`] and parked between
+    /// Worker threads for the fused iteration kernel (1 = serial).
+    /// Defaults to every CPU the process may run on, as
+    /// [`std::thread::available_parallelism`] reports it (cgroup quotas
+    /// and affinity masks included; 1 when unknown), capped at 256 so
+    /// the default passes [`SolverConfig::validate`] for every model.
+    /// The recursion itself is inherently sequential in `k`, so this
+    /// parallelizes within each step: the threads are spawned **once
+    /// per plan** into a [`somrm_linalg::WorkerPool`] and parked between
     /// iterations. Thread counts do not change results — the kernel's
     /// fixed chunk boundaries and deterministic per-row evaluation keep
     /// every configuration bit-identical to the serial path.
     pub threads: usize,
     /// Minimum number of states before `threads > 1` is engaged; smaller
-    /// models run serially regardless (the parallel handshake costs more
-    /// than it saves on short rows). Lower it in tests to exercise the
-    /// pooled path on small models.
+    /// models run serially regardless. Each pooled pass pays a wake/park
+    /// handshake of 11–13 µs (2-CPU Xeon), which rows below the default
+    /// of 16,384 states do not earn back (EXPERIMENTS.md, "Parallel
+    /// threshold and the all-core default", has the table it was chosen
+    /// from). Lower it in tests to exercise the pooled path on small
+    /// models.
     pub parallel_threshold: usize,
     /// Storage format for the iteration matrix `Q'`. The default
     /// [`MatrixFormat::Auto`] selects the banded DIA kernel when the
@@ -104,13 +111,34 @@ pub struct SolverConfig {
     pub events: EventLogHandle,
 }
 
+/// Default [`SolverConfig::parallel_threshold`]: the smallest measured
+/// model size at which two threads beat one by at least 10% at every
+/// order in every probe run (see EXPERIMENTS.md, "Parallel threshold
+/// and the all-core default").
+const PARALLEL_THRESHOLD: usize = 16_384;
+
+/// Thread counts up to this are legal for any model size; above it the
+/// state count is the cap (see [`SolverConfig::validate`]).
+const THREAD_CAP_FLOOR: usize = 256;
+
+/// The default [`SolverConfig::threads`]: the CPUs this process may run
+/// on, capped at [`THREAD_CAP_FLOOR`]. Read once per process.
+fn default_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(THREAD_CAP_FLOOR)
+    })
+}
+
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             epsilon: 1e-9,
             max_iterations: 50_000_000,
-            threads: 1,
-            parallel_threshold: 4096,
+            threads: default_threads(),
+            parallel_threshold: PARALLEL_THRESHOLD,
             format: MatrixFormat::Auto,
             kernel: KernelVariant::from_env(),
             recorder: RecorderHandle::disabled(),
@@ -151,7 +179,8 @@ impl SolverConfig {
     ///   them away), and far above any machine's core count it is almost
     ///   certainly a typo'd `--threads`. The floor of 256 keeps modest
     ///   over-subscription on small models legal, since the kernel
-    ///   clamps chunks to the state count anyway.
+    ///   clamps chunks to the state count anyway, and keeps the default
+    ///   (capped at that floor) valid for every model.
     ///
     /// # Errors
     ///
@@ -170,7 +199,7 @@ impl SolverConfig {
                 reason: "thread count must be at least 1, got 0".to_string(),
             });
         }
-        let cap = n_states.max(256);
+        let cap = n_states.max(THREAD_CAP_FLOOR);
         if self.threads > cap {
             return Err(MrmError::InvalidParameter {
                 name: "threads",
@@ -1068,6 +1097,27 @@ mod tests {
     }
 
     #[test]
+    fn default_threads_always_validate() {
+        // The default follows the machine's CPU count, capped at the
+        // validation floor, so it never refuses a model however many
+        // CPUs there are; explicit typo'd counts still fail.
+        let default = SolverConfig::default();
+        assert!(default.threads >= 1 && default.threads <= THREAD_CAP_FLOOR);
+        assert_eq!(default.threads, default_threads());
+        for n in [1, 2, 255, 256, PARALLEL_THRESHOLD] {
+            assert!(default.validate(n).is_ok(), "{n} states");
+        }
+        let typo = SolverConfig {
+            threads: 100_000,
+            ..SolverConfig::default()
+        };
+        assert!(matches!(
+            typo.validate(1),
+            Err(MrmError::InvalidParameter { name: "threads", .. })
+        ));
+    }
+
+    #[test]
     fn iteration_cap_enforced() {
         let m = two_state_model([1.0, 1.0], [1.0, 1.0]);
         let cfg = SolverConfig {
@@ -1421,7 +1471,9 @@ mod tests {
             sol.stats.iterations + 1
         );
         assert!((section.poisson[0].retained_mass - 1.0).abs() < 1e-6);
-        // 2-state model stays below the parallel threshold: no pool.
+        // 2-state model stays below the parallel threshold: no pool,
+        // whatever the default thread count.
+        assert_eq!(section.threads, 1);
         assert!(report.pool.is_none());
     }
 

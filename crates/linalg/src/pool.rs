@@ -2,11 +2,11 @@
 //!
 //! The randomization recursion runs one parallel pass per iteration `k`,
 //! and `G` routinely reaches tens of thousands (the paper's large model
-//! has `G = 41,588`). Spawning scoped OS threads inside every pass — the
-//! old `matvec_into_parallel` strategy — pays `O(G·order·threads)` thread
-//! creations per solve, which dwarfs the useful work on sparse rows. The
-//! [`WorkerPool`] instead creates its threads **once per solve** and
-//! parks them between passes:
+//! has `G = 41,588`). Spawning scoped OS threads inside every pass would
+//! pay `O(G·order·threads)` thread creations per solve, which dwarfs the
+//! useful work on sparse rows. The [`WorkerPool`] instead creates its
+//! threads **once per solve** and parks them between passes; the fused
+//! moment kernel (`crate::fused`) is its one caller:
 //!
 //! * `new(n)` spawns `n − 1` workers, which immediately block on a
 //!   condvar;
