@@ -46,8 +46,9 @@ options:
                   identical for any count; 1 forces serial)
   --format F      iteration-matrix storage: auto|csr|dia|operator
                   (default auto; results are identical for any choice;
-                  operator runs matrix-free and needs a birth-death or
-                  Kronecker-structured model)
+                  operator is the matrix-free Kronecker-sum backend and
+                  needs a Kronecker descriptor, which model files do not
+                  carry, so it is refused with an error here)
   --kernel K      fused-kernel variant: auto|scalar|simd (default auto:
                   SIMD when the CPU has AVX2+FMA; scalar pins the
                   bit-exact reference; env SOMRM_KERNEL overrides the

@@ -77,7 +77,7 @@ pub enum MrmError {
         cap_bytes: u64,
     },
     /// The requested matrix format cannot represent this model (e.g.
-    /// `--format operator` on a model with no recognized structure).
+    /// `--format operator` on a model without a Kronecker descriptor).
     FormatUnsupported {
         /// The requested format.
         format: &'static str,

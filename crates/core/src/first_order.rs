@@ -15,7 +15,6 @@ use crate::model::SecondOrderMrm;
 use crate::uniformization::{
     poisson_accounting, validate_times, MomentSolution, SolverConfig, SolverStats,
 };
-use somrm_linalg::IterationMatrix;
 use somrm_num::poisson::{self, PoissonWindow};
 use somrm_num::special::ln_factorial;
 use somrm_num::sum::NeumaierSum;
@@ -77,16 +76,10 @@ pub fn moments_first_order(
     let rec = &config.recorder;
     let d = max_rate / q;
     let (q_prime, r_prime) = rec.time("solve.setup", || {
-        let q_prime = IterationMatrix::with_format(
-            model
-                .generator()
-                .uniformized_kernel(q)
-                .expect("q > 0 checked above"),
-            config.format,
-        );
+        let q_prime = crate::plan::resolve_matrix(model, q, config.format)?;
         let r_prime: Vec<f64> = shifted.iter().map(|&r| r / (q * d)).collect();
-        (q_prime, r_prime)
-    });
+        Ok::<_, MrmError>((q_prime, r_prime))
+    })?;
 
     let qt = q * t;
     let (g_limit, error_bounds) =
@@ -99,10 +92,7 @@ pub fn moments_first_order(
         rec.gauge_set("solver.shift", shift);
         rec.gauge_set("solver.g", g_limit as f64);
         rec.gauge_set("solver.error_bound", error_bound);
-        rec.gauge_set(
-            "solver.matrix_format",
-            if q_prime.is_dia() { 1.0 } else { 0.0 },
-        );
+        rec.gauge_set("solver.matrix_format", crate::plan::format_gauge(&q_prime));
         rec.gauge_set("solver.bandwidth", q_prime.bandwidth() as f64);
     }
     let window = rec.time("solve.poisson", || Some(PoissonWindow::exact(qt, g_limit)));

@@ -42,7 +42,6 @@ use crate::uniformization::{
     SolverConfig, SolverStats,
 };
 use somrm_linalg::sparse::{CsrMatrix, TripletBuilder};
-use somrm_linalg::IterationMatrix;
 use somrm_num::poisson::PoissonWindow;
 use somrm_num::special::ln_factorial;
 use somrm_num::sum::NeumaierSum;
@@ -182,12 +181,7 @@ pub fn moments_with_impulse(
 
     let rec = &config.recorder;
     let setup = rec.span("solve.setup");
-    let q_prime = IterationMatrix::with_format(
-        base.generator()
-            .uniformized_kernel(q)
-            .expect("q > 0 checked above"),
-        config.format,
-    );
+    let q_prime = crate::plan::resolve_matrix(base, q, config.format)?;
     let r_prime: Vec<f64> = shifted_rates.iter().map(|&r| r / (q * d)).collect();
     let s_half: Vec<f64> = base
         .variances()
@@ -225,10 +219,7 @@ pub fn moments_with_impulse(
         rec.gauge_set("solver.shift", shift);
         rec.gauge_set("solver.g", g_limit as f64);
         rec.gauge_set("solver.error_bound", error_bound);
-        rec.gauge_set(
-            "solver.matrix_format",
-            if q_prime.is_dia() { 1.0 } else { 0.0 },
-        );
+        rec.gauge_set("solver.matrix_format", crate::plan::format_gauge(&q_prime));
         rec.gauge_set("solver.bandwidth", q_prime.bandwidth() as f64);
     }
     let window = rec.time("solve.poisson", || {

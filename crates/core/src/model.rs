@@ -44,9 +44,9 @@ pub struct SecondOrderMrm {
     rates: Vec<f64>,
     variances: Vec<f64>,
     initial: Vec<f64>,
-    /// Optional structure descriptor (birth–death strips, Kronecker
-    /// factors) advertised by the model builder, letting the solver use
-    /// a matrix-free operator backend. Purely derived metadata: it
+    /// Optional structure descriptor (Kronecker factors) advertised by
+    /// the model builder, letting the solver use the matrix-free
+    /// operator backend. Purely derived metadata: it
     /// never changes the numbers a model produces, so it is excluded
     /// from equality.
     structure: Option<Arc<ModelStructure>>,
@@ -315,15 +315,14 @@ mod tests {
     fn structure_descriptor_is_attached_and_ignored_by_equality() {
         let m = SecondOrderMrm::first_order(gen2(), vec![1.0, 2.0], vec![1.0, 0.0]).unwrap();
         assert!(m.structure().is_none());
+        let factor = |n: usize| somrm_linalg::Mat::zeros(n, n);
         let annotated = m
             .clone()
-            .with_structure(ModelStructure::BirthDeath {
-                birth: vec![1.0],
-                death: vec![2.0],
+            .with_structure(ModelStructure::KroneckerSum {
+                factors: vec![factor(2)],
             })
             .unwrap();
         let s = annotated.structure().expect("descriptor attached");
-        assert_eq!(s.kind(), "birth-death");
         assert_eq!(s.n_states(), 2);
         // Equality ignores the annotation...
         assert_eq!(annotated, m);
@@ -331,9 +330,8 @@ mod tests {
         let moved = annotated.with_initial(vec![0.0, 1.0]).unwrap();
         assert!(moved.structure().is_some());
         // Wrong-sized descriptors are rejected.
-        let err = m.with_structure(ModelStructure::BirthDeath {
-            birth: vec![1.0, 1.0],
-            death: vec![1.0, 1.0],
+        let err = m.with_structure(ModelStructure::KroneckerSum {
+            factors: vec![factor(3)],
         });
         assert!(matches!(err, Err(MrmError::DimensionMismatch { .. })));
     }

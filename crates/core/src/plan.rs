@@ -55,7 +55,7 @@ use crate::uniformization::{
 use somrm_ctmc::error::validate_distribution;
 use somrm_linalg::{
     FootprintBytes, FusedMomentKernel, IterationMatrix, LinalgError, MatrixFormat,
-    OperatorMatrix, ResolvedKernel, UniformizedBirthDeath, WorkerPool,
+    OperatorMatrix, ResolvedKernel, WorkerPool,
 };
 use somrm_num::poisson::PoissonWindow;
 use somrm_num::special::ln_factorial;
@@ -69,12 +69,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// State count above which [`MatrixFormat::Auto`] switches a model
-/// that advertises a structure descriptor to the matrix-free operator
-/// backend. Below it the materialized formats win (DIA's branch-free
-/// strips beat recomputed rows at cache-resident sizes, and the paper's
-/// 200,001-state reference model stays on its golden-pinned DIA path);
-/// above it the O(n) matrix footprint and the skipped `Q'`
-/// materialization dominate.
+/// that advertises a Kronecker-sum descriptor to the matrix-free
+/// operator backend. Below it the materialized formats win (DIA's
+/// branch-free strips beat recomputed rows at cache-resident sizes);
+/// above it the operator's O(1) matrix memory per state beyond one
+/// diagonal dominates. Banded models without a descriptor, the paper's
+/// birth–death multiplexer among them, stay on DIA at every size.
 pub const OPERATOR_AUTO_THRESHOLD: usize = 500_000;
 
 /// Maps the linalg-level format failures to their typed [`MrmError`]
@@ -97,6 +97,47 @@ fn format_error(e: LinalgError) -> MrmError {
             name: "format",
             reason: other.to_string(),
         },
+    }
+}
+
+/// Picks and builds the iteration matrix of `model` at uniformization
+/// rate `q > 0` for `format`; every solver selects through this.
+///
+/// * `Operator` builds the matrix-free Kronecker-sum operator from the
+///   model's descriptor. A model without one gets a typed
+///   [`MrmError::FormatUnsupported`], whatever its shape.
+/// * `Auto` takes the operator only for a Kronecker-annotated model of
+///   at least [`OPERATOR_AUTO_THRESHOLD`] states.
+/// * Otherwise the uniformized `Q'` is built straight from the raw
+///   generator by [`IterationMatrix::from_generator`]: DIA when the
+///   storage rule takes it (forced DIA refusing past
+///   [`somrm_linalg::FORCED_DIA_MAX_BYTES`] before allocating), with
+///   `Q'` materialized as CSR only when CSR is chosen.
+pub(crate) fn resolve_matrix(
+    model: &SecondOrderMrm,
+    q: f64,
+    format: MatrixFormat,
+) -> Result<IterationMatrix, MrmError> {
+    let generator = model.generator().as_csr();
+    if let Some(structure) = model.structure() {
+        let auto_operator =
+            format == MatrixFormat::Auto && model.n_states() >= OPERATOR_AUTO_THRESHOLD;
+        if format == MatrixFormat::Operator || auto_operator {
+            let op =
+                OperatorMatrix::from_structure(structure, generator, q).map_err(format_error)?;
+            return Ok(IterationMatrix::Operator(op));
+        }
+    }
+    IterationMatrix::from_generator(generator, q, format).map_err(format_error)
+}
+
+/// The `solver.matrix_format` gauge of a resolved matrix: 0 = csr,
+/// 1 = dia, 2 = operator.
+pub(crate) fn format_gauge(matrix: &IterationMatrix) -> f64 {
+    match matrix {
+        IterationMatrix::Csr(_) => 0.0,
+        IterationMatrix::Dia(_) => 1.0,
+        IterationMatrix::Operator(_) => 2.0,
     }
 }
 
@@ -237,7 +278,7 @@ impl SolvePlan {
             let dk = if d > 0.0 { d } else { f64::MIN_POSITIVE };
             let rec = &config.recorder;
             let (matrix, r_prime, s_half) = rec.time("solve.setup", || {
-                let matrix = Self::resolve_matrix(model, q, config.format)?;
+                let matrix = resolve_matrix(model, q, config.format)?;
                 let r_prime: Vec<f64> = shifted_rates.iter().map(|&r| r / (q * dk)).collect();
                 let s_half: Vec<f64> = model
                     .variances()
@@ -300,51 +341,6 @@ impl SolvePlan {
             IterationMatrix::Dia(_) => MemCategory::MatrixDia,
             IterationMatrix::Operator(_) => MemCategory::MatrixOperator,
         }
-    }
-
-    /// Picks the iteration-matrix backend for this model/format pair.
-    ///
-    /// * `Operator` (explicit): build from the model's structure
-    ///   descriptor when present — this skips materializing `Q'`
-    ///   entirely, which is the whole point of the matrix-free backend.
-    ///   Without a descriptor, a tridiagonal generator is still
-    ///   accepted; anything else is a typed [`MrmError::FormatUnsupported`].
-    /// * `Auto`: switch to the operator backend only when the model
-    ///   advertises a structure descriptor *and* has at least
-    ///   [`OPERATOR_AUTO_THRESHOLD`] states; otherwise the historical
-    ///   CSR/DIA selection applies unchanged (bitwise-stable).
-    /// * `Csr`/`Dia`: materialized formats, with the forced-DIA path
-    ///   refusing past [`somrm_linalg::FORCED_DIA_MAX_BYTES`].
-    fn resolve_matrix(
-        model: &SecondOrderMrm,
-        q: f64,
-        format: MatrixFormat,
-    ) -> Result<IterationMatrix, MrmError> {
-        let auto_operator = format == MatrixFormat::Auto
-            && model.structure().is_some()
-            && model.n_states() >= OPERATOR_AUTO_THRESHOLD;
-        if format == MatrixFormat::Operator || auto_operator {
-            if let Some(structure) = model.structure() {
-                let op = OperatorMatrix::from_structure(structure, model.generator().as_csr(), q)
-                    .map_err(format_error)?;
-                return Ok(IterationMatrix::Operator(op));
-            }
-            let op =
-                UniformizedBirthDeath::from_tridiagonal_generator(model.generator().as_csr(), q)
-                    .map_err(|e| MrmError::FormatUnsupported {
-                        format: "operator",
-                        reason: format!(
-                            "model advertises no structure descriptor and its generator \
-                             is not tridiagonal ({e})"
-                        ),
-                    })?;
-            return Ok(IterationMatrix::Operator(OperatorMatrix::birth_death(op)));
-        }
-        let q_prime = model
-            .generator()
-            .uniformized_kernel(q)
-            .expect("q > 0 checked by caller");
-        IterationMatrix::try_with_format(q_prime, format).map_err(format_error)
     }
 
     /// The π-free [`plan_digest`] of the planned model (cache key
@@ -703,14 +699,7 @@ impl SolvePlan {
             rec.gauge_set("solver.shift", shift);
             rec.gauge_set("solver.g", g_limit as f64);
             rec.gauge_set("solver.error_bound", error_bound);
-            rec.gauge_set(
-                "solver.matrix_format",
-                match matrix {
-                    IterationMatrix::Csr(_) => 0.0,
-                    IterationMatrix::Dia(_) => 1.0,
-                    IterationMatrix::Operator(_) => 2.0,
-                },
-            );
+            rec.gauge_set("solver.matrix_format", format_gauge(matrix));
             rec.gauge_set("solver.bandwidth", matrix.bandwidth() as f64);
             rec.gauge_set(
                 "solver.kernel_variant",
@@ -1061,6 +1050,50 @@ mod tests {
         SecondOrderMrm::new(b.build().unwrap(), rates, variances, init).unwrap()
     }
 
+    /// A 2×3 Kronecker-sum chain (6 states) carrying its descriptor, so
+    /// the matrix-free operator can run it.
+    fn kron6() -> SecondOrderMrm {
+        let f0 = somrm_linalg::Mat::from_rows(&[&[0.0, 1.5][..], &[0.75, 0.0][..]]).unwrap();
+        let f1 = somrm_linalg::Mat::from_rows(&[
+            &[0.0, 2.0, 0.0][..],
+            &[1.25, 0.0, 1.5][..],
+            &[0.0, 0.5, 0.0][..],
+        ])
+        .unwrap();
+        // Each state's moves: the outer factor flips its digit (stride
+        // 3), the inner one steps its digit (stride 1).
+        let mut b = GeneratorBuilder::new(6);
+        for i in 0..6 {
+            let (j0, j1) = (i / 3, i % 3);
+            b.rate(i, (1 - j0) * 3 + j1, f0[(j0, 1 - j0)]).unwrap();
+            for c in (0..3).filter(|&c| c != j1 && f1[(j1, c)] > 0.0) {
+                b.rate(i, j0 * 3 + c, f1[(j1, c)]).unwrap();
+            }
+        }
+        let m = chain(6);
+        SecondOrderMrm::new(
+            b.build().unwrap(),
+            m.rates().to_vec(),
+            m.variances().to_vec(),
+            m.initial().to_vec(),
+        )
+        .unwrap()
+        .with_structure(crate::ModelStructure::KroneckerSum {
+            factors: vec![f0, f1],
+        })
+        .unwrap()
+    }
+
+    /// Every format a model can run: the operator only with a
+    /// Kronecker descriptor.
+    fn formats_of(m: &SecondOrderMrm) -> Vec<MatrixFormat> {
+        let mut formats = vec![MatrixFormat::Csr, MatrixFormat::Dia];
+        if m.structure().is_some() {
+            formats.push(MatrixFormat::Operator);
+        }
+        formats
+    }
+
     #[test]
     fn digest_changes_with_any_parameter() {
         let m = chain(4);
@@ -1119,22 +1152,23 @@ mod tests {
 
     #[test]
     fn execute_for_matches_cold_plans_of_each_initial_distribution() {
-        let m = chain(5);
-        let pis = vec![
-            vec![0.0, 0.0, 1.0, 0.0, 0.0],
-            vec![0.2; 5],
-            m.initial().to_vec(),
-        ];
         let times = [0.0, 0.3, 1.7];
-        for format in [MatrixFormat::Csr, MatrixFormat::Dia, MatrixFormat::Operator] {
-            for threads in [1, 2, 4] {
-                let config = SolverConfig {
-                    format,
-                    threads,
-                    parallel_threshold: 0,
-                    ..SolverConfig::default()
-                };
-                assert_execute_for_matches_cold_plans(&m, &pis, &times, &config);
+        for m in [chain(6), kron6()] {
+            let pis = vec![
+                vec![0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                vec![1.0 / 6.0; 6],
+                m.initial().to_vec(),
+            ];
+            for format in formats_of(&m) {
+                for threads in [1, 2, 4] {
+                    let config = SolverConfig {
+                        format,
+                        threads,
+                        parallel_threshold: 0,
+                        ..SolverConfig::default()
+                    };
+                    assert_execute_for_matches_cold_plans(&m, &pis, &times, &config);
+                }
             }
         }
         // The degenerate paths weight with the given π too: a frozen
@@ -1356,8 +1390,8 @@ mod tests {
             )
             .unwrap()
         };
-        for m in [chain(6), shifted] {
-            for format in [MatrixFormat::Csr, MatrixFormat::Dia, MatrixFormat::Operator] {
+        for m in [chain(6), shifted, kron6()] {
+            for format in formats_of(&m) {
                 for threads in [1, 2, 4] {
                     let config = SolverConfig {
                         format,
@@ -1384,16 +1418,21 @@ mod tests {
 
     #[test]
     fn operator_plans_match_csr_plans_bitwise() {
-        // `chain` is tridiagonal, so a forced operator plan works even
-        // without a structure descriptor, and its sweep and terminal
-        // results must be bit-identical to the CSR plan's.
-        let m = chain(6);
-        let op_cfg = SolverConfig {
-            format: MatrixFormat::Operator,
-            ..SolverConfig::default()
+        // The Kronecker operator's sweep and terminal results must be
+        // bit-identical to the CSR plan's.
+        let m = kron6();
+        let plan = |format| {
+            let config = SolverConfig {
+                format,
+                ..SolverConfig::default()
+            };
+            SolvePlan::build(&m, 3, &config).unwrap()
         };
-        let csr = SolvePlan::build(&m, 3, &SolverConfig::default()).unwrap();
-        let op = SolvePlan::build(&m, 3, &op_cfg).unwrap();
+        let (csr, op, auto) = (
+            plan(MatrixFormat::Csr),
+            plan(MatrixFormat::Operator),
+            plan(MatrixFormat::Auto),
+        );
         assert_eq!(op.matrix_format_name(), "operator");
         let times = [0.3, 1.1];
         for (a, b) in [
@@ -1417,55 +1456,35 @@ mod tests {
         let tb = op.execute_terminal(0.7, &w, 3).unwrap();
         assert_eq!(ta.weighted, tb.weighted);
         assert_eq!(ta.per_state, tb.per_state);
-        // Operator plans account only the O(n) strips, and both report
-        // exact owned bytes: 6 states tridiagonal → the operator holds
-        // 16 strip doubles, while Auto picks DIA here (3 offsets plus
-        // 3 padded strips of n doubles).
-        assert_eq!(op.matrix_bytes(), 16 * 8);
+        // Operator plans account the factor blocks (2·2 + 3·3 doubles),
+        // the size and stride tables (2 + 2 words) and one diagonal of
+        // 6 doubles; below the threshold Auto keeps the descriptor-
+        // carrying model on DIA (offsets ±3, ±1 and 0, each padded to
+        // 6 doubles), bit for bit the operator's answer.
+        assert_eq!(auto.matrix_format_name(), "dia");
+        assert_eq!(op.matrix_bytes(), 13 * 8 + 4 * 8 + 6 * 8);
         assert_eq!(
-            csr.matrix_bytes(),
-            3 * std::mem::size_of::<isize>() + 3 * 6 * 8
+            auto.matrix_bytes(),
+            5 * std::mem::size_of::<isize>() + 5 * 6 * 8
         );
-        assert!(op.footprint_bytes() < csr.footprint_bytes());
-    }
-
-    #[test]
-    fn auto_keeps_small_structured_models_on_materialized_formats() {
-        let m = chain(6)
-            .with_structure(crate::ModelStructure::BirthDeath {
-                birth: vec![1.5; 5],
-                death: vec![2.0; 5],
-            })
-            .unwrap();
-        let auto = SolvePlan::build(&m, 2, &SolverConfig::default()).unwrap();
-        assert_ne!(
-            auto.matrix_format_name(),
-            "operator",
-            "below the threshold Auto must keep its historical selection"
-        );
-        // Forcing the operator uses the descriptor and stays bitwise.
-        let op_cfg = SolverConfig {
-            format: MatrixFormat::Operator,
-            ..SolverConfig::default()
-        };
-        let op = SolvePlan::build(&m, 2, &op_cfg).unwrap();
-        assert_eq!(op.matrix_format_name(), "operator");
+        assert!(op.footprint_bytes() < auto.footprint_bytes());
         let a = auto.execute(&[0.9], 2).unwrap();
         let b = op.execute(&[0.9], 2).unwrap();
         assert_eq!(a[0].weighted, b[0].weighted);
     }
 
     #[test]
-    fn forced_operator_without_structure_errors_cleanly() {
-        // A 4-state model with a (0 -> 2) jump is not tridiagonal and
-        // carries no descriptor: a typed error, never a panic.
+    fn forced_operator_without_a_kronecker_descriptor_errors_cleanly() {
+        // Neither a tridiagonal chain nor a 4-state model with a
+        // (0 -> 2) jump carries a Kronecker descriptor: a typed error,
+        // never a panic and never a quiet fall-back to another storage.
         let mut b = GeneratorBuilder::new(4);
         b.rate(0, 2, 1.0).unwrap();
         b.rate(2, 0, 1.0).unwrap();
         b.rate(1, 2, 0.5).unwrap();
         b.rate(3, 2, 0.5).unwrap();
         b.rate(2, 3, 0.5).unwrap();
-        let m = SecondOrderMrm::first_order(
+        let jump = SecondOrderMrm::first_order(
             b.build().unwrap(),
             vec![1.0, 0.0, 2.0, 0.0],
             vec![1.0, 0.0, 0.0, 0.0],
@@ -1475,17 +1494,21 @@ mod tests {
             format: MatrixFormat::Operator,
             ..SolverConfig::default()
         };
-        let err = SolvePlan::build(&m, 2, &op_cfg).unwrap_err();
-        assert!(
-            matches!(err, MrmError::FormatUnsupported { format: "operator", .. }),
-            "got {err:?}"
-        );
+        for m in [chain(4), jump] {
+            let err = SolvePlan::build(&m, 2, &op_cfg).unwrap_err();
+            assert!(
+                matches!(err, MrmError::FormatUnsupported { format: "operator", .. }),
+                "got {err:?}"
+            );
+        }
     }
 
     #[test]
     fn forced_dia_past_the_cap_is_a_typed_error() {
         // 20k states with ~15k populated diagonals: the padded DIA
-        // estimate (ndiag * n * 8 bytes) crosses the 2 GiB cap.
+        // estimate (ndiag * n * 8 bytes) crosses the 2 GiB cap. State 0
+        // earns a drift, so the first-order solver runs its own
+        // recursion rather than delegating.
         let n = 20_000;
         let mut b = GeneratorBuilder::new(n);
         for k in 1..15_000 {
@@ -1494,24 +1517,32 @@ mod tests {
         }
         let mut init = vec![0.0; n];
         init[0] = 1.0;
-        let m =
-            SecondOrderMrm::first_order(b.build().unwrap(), vec![0.0; n], init).unwrap();
+        let mut drifts = vec![0.0; n];
+        drifts[0] = 1.0;
+        let m = SecondOrderMrm::first_order(b.build().unwrap(), drifts, init).unwrap();
         let dia_cfg = SolverConfig {
             format: MatrixFormat::Dia,
             ..SolverConfig::default()
         };
-        let err = SolvePlan::build(&m, 1, &dia_cfg).unwrap_err();
-        match err {
-            MrmError::AllocationTooLarge {
-                estimated_bytes,
-                cap_bytes,
-                ..
-            } => {
-                assert!(estimated_bytes > cap_bytes);
-                assert_eq!(cap_bytes, somrm_linalg::FORCED_DIA_MAX_BYTES);
+        fn refused<T: std::fmt::Debug>(got: Result<T, MrmError>) {
+            match got {
+                Err(MrmError::AllocationTooLarge {
+                    estimated_bytes,
+                    cap_bytes,
+                    ..
+                }) => {
+                    assert!(estimated_bytes > cap_bytes);
+                    assert_eq!(cap_bytes, somrm_linalg::FORCED_DIA_MAX_BYTES);
+                }
+                other => panic!("expected AllocationTooLarge, got {other:?}"),
             }
-            other => panic!("expected AllocationTooLarge, got {other:?}"),
         }
+        refused(SolvePlan::build(&m, 1, &dia_cfg));
+        // The impulse and first-order solvers select through the same
+        // rule, so they refuse before allocating too.
+        let impulses = crate::impulse::ImpulseMrm::new(m.clone(), &[(0, 1, 0.5)]).unwrap();
+        refused(crate::impulse::moments_with_impulse(&impulses, 1, 0.5, &dia_cfg));
+        refused(crate::first_order::moments_first_order(&m, 1, 0.5, &dia_cfg));
     }
 
     #[test]
@@ -1717,25 +1748,24 @@ mod tests {
     }
 
     #[test]
-    fn auto_switches_to_operator_at_the_threshold_for_structured_models() {
-        // A birth-death chain exactly at the threshold, annotated by the
-        // builder: Auto must pick the matrix-free backend without ever
-        // materializing Q'.
+    fn auto_keeps_birth_death_chains_on_dia_at_the_operator_threshold() {
+        // A birth-death chain exactly at the threshold carries no
+        // Kronecker descriptor: Auto builds its three DIA strips
+        // straight from the generator, and the plan holds nothing else.
         let n = OPERATOR_AUTO_THRESHOLD;
-        let birth = vec![1.0; n - 1];
-        let death = vec![2.0; n - 1];
         let mut b = GeneratorBuilder::new(n);
         for i in 0..n - 1 {
-            b.rate(i, i + 1, birth[i]).unwrap();
-            b.rate(i + 1, i, death[i]).unwrap();
+            b.rate(i, i + 1, 1.0).unwrap();
+            b.rate(i + 1, i, 2.0).unwrap();
         }
         let mut init = vec![0.0; n];
         init[0] = 1.0;
-        let m = SecondOrderMrm::first_order(b.build().unwrap(), vec![0.0; n], init)
-            .unwrap()
-            .with_structure(crate::ModelStructure::BirthDeath { birth, death })
-            .unwrap();
+        let m = SecondOrderMrm::first_order(b.build().unwrap(), vec![0.0; n], init).unwrap();
         let plan = SolvePlan::build(&m, 1, &SolverConfig::default()).unwrap();
-        assert_eq!(plan.matrix_format_name(), "operator");
+        assert_eq!(plan.matrix_format_name(), "dia");
+        assert_eq!(
+            plan.matrix_bytes(),
+            3 * std::mem::size_of::<isize>() + 3 * n * 8
+        );
     }
 }

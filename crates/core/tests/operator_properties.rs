@@ -1,15 +1,14 @@
-//! Property-based bitwise contract of the matrix-free operator backend.
+//! Property-based bitwise contract of the storage backends.
 //!
-//! The operator backend promises more than agreement within tolerance:
-//! with the scalar kernel pinned, a forced-`Operator` solve must be
+//! The matrix backends promise more than agreement within tolerance:
+//! with the scalar kernel pinned, a forced-`Dia` solve of a birth–death
+//! model and a forced-`Operator` solve of a Kronecker-sum model must be
 //! **bit-identical** to the forced-`Csr` solve of the same model — the
-//! per-row canonical-FMA contract makes storage format unobservable.
-//! These properties fuzz that claim over random birth–death and
-//! Kronecker-sum models, across moment orders 0–5, worker-pool sizes
-//! 1/2/4, and both query paths (multi-time sweep and terminal-weighted).
-//! Birth–death sweeps also run the banded `Dia` format, which owes the
-//! same bitwise agreement; every pair must report the same truncation
-//! point `G` (`stats.iterations`).
+//! per-row ascending-column contract makes storage format unobservable.
+//! These properties fuzz that claim across moment orders 0–5,
+//! worker-pool sizes 1/2/4, and both query paths (multi-time sweep and
+//! terminal-weighted); every pair must report the same truncation point
+//! `G` (`stats.iterations`).
 
 use proptest::prelude::*;
 use somrm_core::model::SecondOrderMrm;
@@ -19,7 +18,7 @@ use somrm_core::ModelStructure;
 use somrm_ctmc::generator::GeneratorBuilder;
 use somrm_linalg::{KernelVariant, Mat, MatrixFormat};
 
-/// Random birth–death reward model carrying its structure descriptor.
+/// Random birth–death reward model.
 #[derive(Debug, Clone)]
 struct BdCase {
     birth: Vec<f64>,
@@ -51,11 +50,6 @@ impl BdCase {
             self.variances.clone(),
             initial,
         )
-        .unwrap()
-        .with_structure(ModelStructure::BirthDeath {
-            birth: self.birth.clone(),
-            death: self.death.clone(),
-        })
         .unwrap()
     }
 }
@@ -156,7 +150,7 @@ fn assert_bitwise(tag: &str, a: &MomentSolution, b: &MomentSolution) {
 
 proptest! {
     #[test]
-    fn birth_death_operator_matches_csr_bitwise(
+    fn birth_death_dia_matches_csr_bitwise(
         case in bd_case(),
         order in 0usize..=5,
         threads in (0usize..3).prop_map(|i| [1usize, 2, 4][i]),
@@ -167,13 +161,10 @@ proptest! {
         let times = [0.5 * t, t, 1.7 * t];
         let csr = moments_sweep(&model, order, &times, &config(MatrixFormat::Csr, threads))
             .unwrap();
-        let op = moments_sweep(&model, order, &times, &config(MatrixFormat::Operator, threads))
-            .unwrap();
         let dia = moments_sweep(&model, order, &times, &config(MatrixFormat::Dia, threads))
             .unwrap();
-        for ((a, b), c) in csr.iter().zip(&op).zip(&dia) {
-            assert_bitwise("bd sweep", a, b);
-            assert_bitwise("bd sweep dia", a, c);
+        for (a, b) in csr.iter().zip(&dia) {
+            assert_bitwise("bd sweep dia", a, b);
         }
 
         // Terminal-weighted path with a deterministic pseudo-random 0/1
@@ -186,15 +177,10 @@ proptest! {
         let csr_t =
             moments_terminal_weighted(&model, order, t, &w, &config(MatrixFormat::Csr, threads))
                 .unwrap();
-        let op_t = moments_terminal_weighted(
-            &model,
-            order,
-            t,
-            &w,
-            &config(MatrixFormat::Operator, threads),
-        )
-        .unwrap();
-        assert_bitwise("bd terminal", &csr_t, &op_t);
+        let dia_t =
+            moments_terminal_weighted(&model, order, t, &w, &config(MatrixFormat::Dia, threads))
+                .unwrap();
+        assert_bitwise("bd terminal dia", &csr_t, &dia_t);
     }
 
     #[test]

@@ -27,13 +27,21 @@
 //!   only possible difference is the sign of an exact zero (`-0.0` vs
 //!   `+0.0`), which `==` cannot observe.
 //!
-//! [`IterationMatrix`] is the dispatch point the solvers iterate over:
-//! built once per solve from the uniformized CSR matrix, auto-selecting
-//! DIA when the diagonal count makes it profitable ([`MatrixFormat::Auto`]),
-//! or forced either way for benchmarks and tests.
+//! The uniformized `P' = Q·(1/q) + I` is built straight from the raw
+//! generator by [`IterationMatrix::from_generator`], with the arithmetic
+//! of `Q.scaled(1/q).add_scaled_identity(1.0)`: off-diagonal entries
+//! `v·(1/q)`, the diagonal `v·(1/q) + 1.0`, or exactly `1.0` where `Q`
+//! stores no diagonal entry. The strips, the structural count and the
+//! storage decision are bitwise those of converting the materialized
+//! `P'`, so a banded model never pays for its CSR copy.
+//!
+//! [`IterationMatrix`] is the dispatch point the solvers iterate over,
+//! auto-selecting DIA when the diagonal count makes it profitable
+//! ([`MatrixFormat::Auto`]), or forced either way for benchmarks and
+//! tests. Every selector applies the same storage rule.
 
 use crate::error::LinalgError;
-use crate::operator::{OperatorMatrix, UniformizedBirthDeath};
+use crate::operator::OperatorMatrix;
 use crate::sparse::CsrMatrix;
 
 /// Hard cap on the padded storage a **forced** DIA conversion may
@@ -83,45 +91,49 @@ pub struct DiaMatrix {
 }
 
 impl DiaMatrix {
-    /// Converts a square CSR matrix to DIA **if the format is profitable**:
-    /// the number of distinct diagonals must satisfy
-    /// `ndiag · n ≤ 4 · nnz + 64`, i.e. the padded diagonal storage may
-    /// exceed the CSR payload by at most a small constant factor.
-    /// Returns `None` for non-square matrices or when too many diagonals
-    /// are populated (a scattered matrix would explode to `O(n²)` here).
+    /// Converts a square CSR matrix to DIA **if the format is profitable**
+    /// under the [`MatrixFormat::Auto`] rule: the number of distinct
+    /// diagonals must satisfy `ndiag · n ≤ 4 · nnz + 64`, i.e. the padded
+    /// diagonal storage may exceed the CSR payload by at most a small
+    /// constant factor. Returns `None` for non-square matrices or when
+    /// too many diagonals are populated (a scattered matrix would
+    /// explode to `O(n²)` here).
     pub fn from_csr(csr: &CsrMatrix<f64>) -> Option<DiaMatrix> {
-        let offsets = distinct_offsets(csr)?;
-        if offsets.len().saturating_mul(csr.rows()) > 4 * csr.nnz() + 64 {
-            return None;
-        }
-        Some(Self::assemble(csr, offsets))
+        let shape = dia_shape(csr, MatrixFormat::Auto, false).ok()??;
+        Some(Self::assemble(csr, shape, None))
     }
 
-    /// Converts any square CSR matrix to DIA, regardless of how many
-    /// diagonals are populated (benchmarks and format-forcing only —
-    /// a scattered matrix stores up to `2n − 1` full diagonals).
-    ///
-    /// Returns `None` only for non-square matrices.
-    pub fn from_csr_forced(csr: &CsrMatrix<f64>) -> Option<DiaMatrix> {
-        let offsets = distinct_offsets(csr)?;
-        Some(Self::assemble(csr, offsets))
-    }
-
-    fn assemble(csr: &CsrMatrix<f64>, offsets: Vec<isize>) -> DiaMatrix {
+    /// Lays out the entries of `csr` along `shape.offsets`. With
+    /// `uniformize = Some(1/q)` the raw generator becomes
+    /// `P' = Q·(1/q) + I` on the way: off-diagonal entries `v·(1/q)`, the
+    /// diagonal `v·(1/q) + 1.0`, and `1.0` on rows with no stored
+    /// diagonal — `add_scaled_identity`'s duplicate sum, entry by entry.
+    fn assemble(csr: &CsrMatrix<f64>, shape: Shape, uniformize: Option<f64>) -> DiaMatrix {
         let n = csr.rows();
+        let offsets = shape.offsets;
         let mut data = vec![0.0f64; offsets.len() * n];
+        if uniformize.is_some() {
+            let d0 = offsets
+                .binary_search(&0)
+                .expect("uniformized shape holds the diagonal");
+            data[d0 * n..(d0 + 1) * n].fill(1.0);
+        }
         for i in 0..n {
             for (j, v) in csr.row(i) {
                 let o = j as isize - i as isize;
                 let d = offsets.binary_search(&o).expect("offset collected above");
-                data[d * n + i] = v;
+                data[d * n + i] = match uniformize {
+                    Some(inv) if o == 0 => v * inv + 1.0,
+                    Some(inv) => v * inv,
+                    None => v,
+                };
             }
         }
         DiaMatrix {
             n,
             offsets,
             data,
-            nnz: csr.nnz(),
+            nnz: shape.nnz,
         }
     }
 
@@ -193,37 +205,105 @@ impl DiaMatrix {
     }
 }
 
-/// The distinct `col − row` offsets of a square CSR matrix, ascending;
-/// `None` if the matrix is not square.
+/// The diagonal layout of a square matrix: its distinct `col − row`
+/// offsets, strictly ascending, and its structural entry count.
+struct Shape {
+    offsets: Vec<isize>,
+    nnz: usize,
+}
+
+impl Shape {
+    /// The layout of a square `csr`, or with `with_identity` the layout
+    /// of `csr + a·I` (the diagonal joins the offsets and each row with
+    /// no stored diagonal gains one entry); `None` if not square.
+    ///
+    /// Single pass over the CSR entries: a `2n − 1` occupancy bitmap
+    /// indexed by `offset + (n − 1)` marks each diagonal seen, then one
+    /// scan of the bitmap emits the offsets already sorted. `O(nnz + n)`
+    /// time, no per-entry search or mid-vector insertion.
+    fn of(csr: &CsrMatrix<f64>, with_identity: bool) -> Option<Shape> {
+        if csr.rows() != csr.cols() {
+            return None;
+        }
+        let n = csr.rows();
+        let mut nnz = csr.nnz();
+        if n == 0 {
+            return Some(Shape {
+                offsets: Vec::new(),
+                nnz,
+            });
+        }
+        let (row_ptr, col_idx, _) = csr.csr_parts();
+        let mut seen = vec![false; 2 * n - 1];
+        for i in 0..n {
+            let cols = &col_idx[row_ptr[i]..row_ptr[i + 1]];
+            for &j in cols {
+                seen[j + (n - 1) - i] = true;
+            }
+            if with_identity && !cols.contains(&i) {
+                nnz += 1;
+            }
+        }
+        seen[n - 1] |= with_identity;
+        let offsets = seen
+            .iter()
+            .enumerate()
+            .filter(|&(_, &present)| present)
+            .map(|(slot, _)| slot as isize - (n as isize - 1))
+            .collect();
+        Some(Shape { offsets, nnz })
+    }
+}
+
+/// The one storage rule every selector applies: `Some(layout)` when
+/// `format` stores `csr` (with `with_identity`, `csr + a·I`) as DIA,
+/// `None` when it stays CSR.
 ///
-/// Single pass over the CSR entries: a `2n − 1` occupancy bitmap
-/// indexed by `offset + (n − 1)` marks each diagonal seen, then one
-/// scan of the bitmap emits the offsets already sorted. `O(nnz + n)`
-/// time, no per-entry search or mid-vector insertion (the previous
-/// detector re-sorted by `binary_search` + `insert`, quadratic in the
-/// diagonal count on adversarial matrices).
-fn distinct_offsets(csr: &CsrMatrix<f64>) -> Option<Vec<isize>> {
-    if csr.rows() != csr.cols() {
-        return None;
-    }
-    let n = csr.rows();
-    if n == 0 {
-        return Some(Vec::new());
-    }
-    let (row_ptr, col_idx, _) = csr.csr_parts();
-    let mut seen = vec![false; 2 * n - 1];
-    for i in 0..n {
-        for k in row_ptr[i]..row_ptr[i + 1] {
-            seen[col_idx[k] + (n - 1) - i] = true;
+/// * `Auto` takes DIA when the padded strips stay within a small factor
+///   of the CSR payload: `ndiag · n ≤ 4 · nnz + 64`.
+/// * Forced `Dia` always takes it, but estimates the padded allocation
+///   (`ndiag · n · 8` bytes) up front and refuses past
+///   [`FORCED_DIA_MAX_BYTES`] with [`LinalgError::AllocationTooLarge`]
+///   — a scattered matrix pads to `O(n²)`.
+/// * `Csr` never does, and neither shape fits a non-square matrix.
+/// * `Operator` is [`LinalgError::FormatUnsupported`]: the matrix-free
+///   backend needs a Kronecker-sum descriptor, which a matrix does not
+///   carry.
+fn dia_shape(
+    csr: &CsrMatrix<f64>,
+    format: MatrixFormat,
+    with_identity: bool,
+) -> Result<Option<Shape>, LinalgError> {
+    let forced = match format {
+        MatrixFormat::Auto => false,
+        MatrixFormat::Dia => true,
+        MatrixFormat::Csr => return Ok(None),
+        MatrixFormat::Operator => {
+            return Err(LinalgError::FormatUnsupported {
+                format: "operator",
+                reason: "the matrix-free operator needs a Kronecker-sum structure descriptor"
+                    .to_string(),
+            })
         }
+    };
+    let Some(shape) = Shape::of(csr, with_identity) else {
+        return Ok(None);
+    };
+    let (ndiag, n) = (shape.offsets.len(), csr.rows());
+    if !forced {
+        return Ok((ndiag.saturating_mul(n) <= 4 * shape.nnz + 64).then_some(shape));
     }
-    let mut offsets: Vec<isize> = Vec::new();
-    for (slot, &present) in seen.iter().enumerate() {
-        if present {
-            offsets.push(slot as isize - (n as isize - 1));
-        }
+    let estimated_bytes = (ndiag as u64)
+        .saturating_mul(n as u64)
+        .saturating_mul(std::mem::size_of::<f64>() as u64);
+    if estimated_bytes > FORCED_DIA_MAX_BYTES {
+        return Err(LinalgError::AllocationTooLarge {
+            what: "forced DIA storage",
+            estimated_bytes,
+            cap_bytes: FORCED_DIA_MAX_BYTES,
+        });
     }
-    Some(offsets)
+    Ok(Some(shape))
 }
 
 /// Which storage the solver's iteration matrix should use.
@@ -241,8 +321,9 @@ pub enum MatrixFormat {
     Csr,
     /// Always DIA (padded to every populated diagonal).
     Dia,
-    /// Matrix-free operator (`crate::operator`): entries computed on
-    /// the fly from model structure, never materialized.
+    /// Matrix-free Kronecker-sum operator (`crate::operator`): entries
+    /// computed on the fly from the model's Kronecker descriptor, never
+    /// materialized. Models without one cannot use it.
     Operator,
 }
 
@@ -283,85 +364,57 @@ pub enum IterationMatrix {
     Csr(CsrMatrix<f64>),
     /// Diagonal storage for banded matrices.
     Dia(DiaMatrix),
-    /// Matrix-free operator computed from model structure.
+    /// Matrix-free Kronecker-sum operator.
     Operator(OperatorMatrix),
 }
 
 impl IterationMatrix {
-    /// Selects the storage for `csr` according to `format`.
-    ///
-    /// `Auto` defers to the [`DiaMatrix::from_csr`] profitability check;
-    /// `Dia` forces conversion via [`DiaMatrix::from_csr_forced`] and
-    /// falls back to CSR only for non-square matrices; `Operator`
-    /// wraps the tridiagonal strips verbatim and falls back to CSR when
-    /// the matrix is not tridiagonal. Infallible — solvers that want
-    /// typed errors (forced-DIA allocation cap, operator on an
-    /// unsupported matrix) use [`IterationMatrix::try_with_format`].
-    pub fn with_format(csr: CsrMatrix<f64>, format: MatrixFormat) -> IterationMatrix {
-        match format {
-            MatrixFormat::Auto => match DiaMatrix::from_csr(&csr) {
-                Some(d) => IterationMatrix::Dia(d),
-                None => IterationMatrix::Csr(csr),
-            },
-            MatrixFormat::Csr => IterationMatrix::Csr(csr),
-            MatrixFormat::Dia => match DiaMatrix::from_csr_forced(&csr) {
-                Some(d) => IterationMatrix::Dia(d),
-                None => IterationMatrix::Csr(csr),
-            },
-            MatrixFormat::Operator => match UniformizedBirthDeath::from_uniformized_csr(&csr) {
-                Ok(op) => IterationMatrix::Operator(OperatorMatrix::birth_death(op)),
-                Err(_) => IterationMatrix::Csr(csr),
-            },
-        }
-    }
-
-    /// [`IterationMatrix::with_format`] with typed failures instead of
-    /// silent fallbacks:
-    ///
-    /// * forced `Dia` estimates the padded allocation
-    ///   (`ndiag · n · 8` bytes) up front and refuses past
-    ///   [`FORCED_DIA_MAX_BYTES`] with
-    ///   [`LinalgError::AllocationTooLarge`] — the `Auto` gate is
-    ///   bypassed when forcing, and a scattered matrix pads to
-    ///   `O(n²)`;
-    /// * forced `Operator` on a matrix that is not tridiagonal (and
-    ///   arrived without a structure descriptor) returns
-    ///   [`LinalgError::FormatUnsupported`] instead of panicking or
-    ///   quietly solving with CSR.
+    /// Selects the storage for an already built matrix `csr` by the one
+    /// storage rule: `Auto` takes DIA when profitable, forced `Dia`
+    /// refuses past [`FORCED_DIA_MAX_BYTES`] with
+    /// [`LinalgError::AllocationTooLarge`] before allocating, and
+    /// `Operator` is [`LinalgError::FormatUnsupported`] (a matrix carries
+    /// no Kronecker descriptor). Non-square matrices stay CSR.
     pub fn try_with_format(
         csr: CsrMatrix<f64>,
         format: MatrixFormat,
     ) -> Result<IterationMatrix, LinalgError> {
-        match format {
-            MatrixFormat::Auto | MatrixFormat::Csr => Ok(Self::with_format(csr, format)),
-            MatrixFormat::Dia => {
-                let offsets = match distinct_offsets(&csr) {
-                    Some(o) => o,
-                    None => return Ok(IterationMatrix::Csr(csr)),
-                };
-                let estimated_bytes = (offsets.len() as u64)
-                    .saturating_mul(csr.rows() as u64)
-                    .saturating_mul(std::mem::size_of::<f64>() as u64);
-                if estimated_bytes > FORCED_DIA_MAX_BYTES {
-                    return Err(LinalgError::AllocationTooLarge {
-                        what: "forced DIA storage",
-                        estimated_bytes,
-                        cap_bytes: FORCED_DIA_MAX_BYTES,
-                    });
-                }
-                Ok(IterationMatrix::Dia(
-                    DiaMatrix::from_csr_forced(&csr).expect("square checked by offset scan"),
-                ))
-            }
-            MatrixFormat::Operator => Ok(IterationMatrix::Operator(
-                OperatorMatrix::birth_death(UniformizedBirthDeath::from_uniformized_csr(&csr)?),
-            )),
-        }
+        Ok(match dia_shape(&csr, format, false)? {
+            Some(shape) => IterationMatrix::Dia(DiaMatrix::assemble(&csr, shape, None)),
+            None => IterationMatrix::Csr(csr),
+        })
     }
 
-    /// [`IterationMatrix::with_format`] with [`MatrixFormat::Auto`].
-    pub fn auto(csr: CsrMatrix<f64>) -> IterationMatrix {
-        Self::with_format(csr, MatrixFormat::Auto)
+    /// Builds the uniformized `P' = Q·(1/rate) + I` of the raw generator
+    /// `Q` in the storage `format` selects, by the same rule as
+    /// [`IterationMatrix::try_with_format`] on the materialized `P'`.
+    /// DIA strips are written straight from `Q` (module docs), with the
+    /// offsets, bits, `nnz` and storage decision of
+    /// `DiaMatrix::from_csr` on `Q.scaled(1/rate).add_scaled_identity(1.0)`;
+    /// that CSR matrix is materialized only when CSR is chosen.
+    ///
+    /// # Errors
+    ///
+    /// As [`IterationMatrix::try_with_format`], plus
+    /// [`LinalgError::DimensionMismatch`] for a non-square `Q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rate` is finite and positive.
+    pub fn from_generator(
+        generator: &CsrMatrix<f64>,
+        rate: f64,
+        format: MatrixFormat,
+    ) -> Result<IterationMatrix, LinalgError> {
+        assert!(
+            rate.is_finite() && rate > 0.0,
+            "uniformization rate {rate} must be positive"
+        );
+        let inv = 1.0 / rate;
+        Ok(match dia_shape(generator, format, true)? {
+            Some(shape) => IterationMatrix::Dia(DiaMatrix::assemble(generator, shape, Some(inv))),
+            None => IterationMatrix::Csr(generator.scaled(inv).add_scaled_identity(1.0)?),
+        })
     }
 
     /// Number of rows.
@@ -386,11 +439,6 @@ impl IterationMatrix {
     /// `true` if the DIA storage was selected.
     pub fn is_dia(&self) -> bool {
         matches!(self, IterationMatrix::Dia(_))
-    }
-
-    /// `true` if the matrix-free operator backend was selected.
-    pub fn is_operator(&self) -> bool {
-        matches!(self, IterationMatrix::Operator(_))
     }
 
     /// The selected format as a report-friendly name.
@@ -476,8 +524,12 @@ mod tests {
         (0..n).map(|i| ((i * 29) % 13) as f64 / 7.0 - 0.8).collect()
     }
 
+    fn offsets_of(csr: &CsrMatrix<f64>) -> Option<Vec<isize>> {
+        Shape::of(csr, false).map(|s| s.offsets)
+    }
+
     #[test]
-    fn distinct_offsets_single_pass_on_200k_banded() {
+    fn shape_single_pass_on_200k_banded() {
         // Paper-scale detector check: a 200,000-row matrix with a
         // 7-diagonal band (offsets ±1, ±2, ±5, 0 — deliberately
         // non-contiguous) must be detected exactly, and fast. The
@@ -499,7 +551,7 @@ mod tests {
         }
         let csr = b.build();
         let start = std::time::Instant::now();
-        let offsets = distinct_offsets(&csr).expect("square matrix");
+        let offsets = offsets_of(&csr).expect("square matrix");
         let elapsed = start.elapsed();
         assert_eq!(offsets, band.to_vec());
         assert!(
@@ -509,23 +561,20 @@ mod tests {
     }
 
     #[test]
-    fn distinct_offsets_edge_shapes() {
+    fn shape_edge_shapes() {
         // Empty and 1×1 matrices, and a full anti-diagonal touching
         // both bitmap extremes (offsets n−1 and −(n−1)).
         let empty = TripletBuilder::with_capacity(0, 0, 0).build();
-        assert_eq!(distinct_offsets(&empty).unwrap(), Vec::<isize>::new());
+        assert_eq!(offsets_of(&empty).unwrap(), Vec::<isize>::new());
         let mut one = TripletBuilder::with_capacity(1, 1, 1);
         one.push(0, 0, 2.0);
-        assert_eq!(distinct_offsets(&one.build()).unwrap(), vec![0]);
+        assert_eq!(offsets_of(&one.build()).unwrap(), vec![0]);
         let n = 5;
         let mut anti = TripletBuilder::with_capacity(n, n, n);
         for i in 0..n {
             anti.push(i, n - 1 - i, 1.0);
         }
-        assert_eq!(
-            distinct_offsets(&anti.build()).unwrap(),
-            vec![-4, -2, 0, 2, 4]
-        );
+        assert_eq!(offsets_of(&anti.build()).unwrap(), vec![-4, -2, 0, 2, 4]);
     }
 
     #[test]
@@ -551,22 +600,30 @@ mod tests {
     fn scattered_matrix_is_rejected_but_forcible() {
         let csr = scattered(257);
         assert!(DiaMatrix::from_csr(&csr).is_none(), "too many diagonals");
-        let forced = DiaMatrix::from_csr_forced(&csr).expect("square always forcible");
-        assert_eq!(forced.matvec(&test_vector(257)), csr.matvec(&test_vector(257)));
+        let forced = IterationMatrix::try_with_format(csr.clone(), MatrixFormat::Dia).unwrap();
+        assert!(forced.is_dia(), "square always forcible");
+        let mut y = vec![f64::NAN; 257];
+        forced.matvec_into(&test_vector(257), &mut y);
+        assert_eq!(y, csr.matvec(&test_vector(257)));
     }
 
     #[test]
     fn non_square_is_rejected() {
         let csr = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]);
         assert!(DiaMatrix::from_csr(&csr).is_none());
-        assert!(DiaMatrix::from_csr_forced(&csr).is_none());
-        assert!(!IterationMatrix::auto(csr).is_dia());
+        for format in [MatrixFormat::Auto, MatrixFormat::Dia] {
+            let m = IterationMatrix::try_with_format(csr.clone(), format).unwrap();
+            assert!(!m.is_dia(), "{format}: non-square stays CSR");
+        }
     }
 
     #[test]
     fn dia_matvec_bitwise_matches_csr() {
         for csr in [tridiag(101), ring(101), scattered(101)] {
-            let dia = DiaMatrix::from_csr_forced(&csr).unwrap();
+            let dia = match IterationMatrix::try_with_format(csr.clone(), MatrixFormat::Dia) {
+                Ok(IterationMatrix::Dia(d)) => d,
+                other => panic!("forced DIA, got {other:?}"),
+            };
             let x = test_vector(101);
             let mut y_csr = vec![f64::NAN; 101];
             let mut y_dia = vec![f64::NAN; 101];
@@ -600,19 +657,20 @@ mod tests {
 
     #[test]
     fn format_selection_and_names() {
-        let auto = IterationMatrix::auto(tridiag(64));
+        let select = |csr, format| IterationMatrix::try_with_format(csr, format).unwrap();
+        let auto = select(tridiag(64), MatrixFormat::Auto);
         assert!(auto.is_dia());
         assert_eq!(auto.format_name(), "dia");
         assert_eq!(auto.bandwidth(), 1);
 
-        let auto_scattered = IterationMatrix::auto(scattered(257));
+        let auto_scattered = select(scattered(257), MatrixFormat::Auto);
         assert!(!auto_scattered.is_dia());
         assert_eq!(auto_scattered.format_name(), "csr");
 
-        let forced = IterationMatrix::with_format(scattered(257), MatrixFormat::Dia);
+        let forced = select(scattered(257), MatrixFormat::Dia);
         assert!(forced.is_dia());
 
-        let forced_csr = IterationMatrix::with_format(tridiag(64), MatrixFormat::Csr);
+        let forced_csr = select(tridiag(64), MatrixFormat::Csr);
         assert!(!forced_csr.is_dia());
         assert_eq!(forced_csr.bandwidth(), 1);
     }
@@ -623,7 +681,7 @@ mod tests {
         let x = test_vector(50);
         let expect = csr.matvec(&x);
         for format in [MatrixFormat::Auto, MatrixFormat::Csr, MatrixFormat::Dia] {
-            let m = IterationMatrix::with_format(csr.clone(), format);
+            let m = IterationMatrix::try_with_format(csr.clone(), format).unwrap();
             let mut y = vec![f64::NAN; 50];
             m.matvec_into(&x, &mut y);
             assert_eq!(y, expect, "format {format}");
@@ -641,40 +699,36 @@ mod tests {
             assert_eq!(s.parse::<MatrixFormat>().unwrap(), f);
             assert_eq!(f.to_string(), s);
         }
-        assert_eq!("op".parse::<MatrixFormat>().unwrap(), MatrixFormat::Operator);
+        assert_eq!(
+            "op".parse::<MatrixFormat>().unwrap(),
+            MatrixFormat::Operator
+        );
         assert!("banded".parse::<MatrixFormat>().is_err());
         assert_eq!(MatrixFormat::default(), MatrixFormat::Auto);
     }
 
     #[test]
-    fn operator_format_wraps_tridiagonal_and_falls_back() {
-        let m = IterationMatrix::with_format(tridiag(50), MatrixFormat::Operator);
-        assert!(m.is_operator());
-        assert_eq!(m.format_name(), "operator");
-        assert_eq!(m.bandwidth(), 1);
-        assert_eq!((m.rows(), m.cols()), (50, 50));
-        let x = test_vector(50).iter().map(|v| v.abs()).collect::<Vec<_>>();
-        let mut y = vec![f64::NAN; 50];
-        m.matvec_into(&x, &mut y);
-        assert_eq!(y, tridiag(50).matvec(&x));
-        // Non-tridiagonal input: infallible API falls back to CSR...
-        let fallback = IterationMatrix::with_format(scattered(64), MatrixFormat::Operator);
-        assert!(!fallback.is_operator());
-        assert_eq!(fallback.format_name(), "csr");
-        // ...while the typed API reports why.
-        let err = IterationMatrix::try_with_format(scattered(64), MatrixFormat::Operator);
-        assert!(matches!(err, Err(LinalgError::FormatUnsupported { .. })));
-    }
-
-    #[test]
-    fn try_with_format_matches_infallible_selection_in_bounds() {
-        for format in [MatrixFormat::Auto, MatrixFormat::Csr, MatrixFormat::Dia] {
-            let a = IterationMatrix::try_with_format(scattered(257), format).unwrap();
-            let b = IterationMatrix::with_format(scattered(257), format);
-            assert_eq!(a.format_name(), b.format_name(), "format {format}");
+    fn forced_operator_without_a_kronecker_descriptor_is_a_typed_error() {
+        // A matrix carries no Kronecker descriptor, whatever its shape:
+        // forcing the operator is refused, never quietly run as CSR/DIA.
+        for csr in [tridiag(50), scattered(64)] {
+            let err = IterationMatrix::try_with_format(csr.clone(), MatrixFormat::Operator);
+            assert!(matches!(
+                err,
+                Err(LinalgError::FormatUnsupported {
+                    format: "operator",
+                    ..
+                })
+            ));
+            let err = IterationMatrix::from_generator(&csr, 2.0, MatrixFormat::Operator);
+            assert!(matches!(
+                err,
+                Err(LinalgError::FormatUnsupported {
+                    format: "operator",
+                    ..
+                })
+            ));
         }
-        let op = IterationMatrix::try_with_format(tridiag(40), MatrixFormat::Operator).unwrap();
-        assert!(op.is_operator());
     }
 
     #[test]
@@ -683,9 +737,9 @@ mod tests {
         // the estimate must be rejected before anything is allocated.
         let n = 20_000;
         let csr = scattered(n);
-        let ndiag = distinct_offsets(&csr).unwrap().len() as u64;
+        let ndiag = offsets_of(&csr).unwrap().len() as u64;
         assert!(ndiag * n as u64 * 8 > FORCED_DIA_MAX_BYTES, "test premise");
-        match IterationMatrix::try_with_format(csr, MatrixFormat::Dia) {
+        let refused = |got: Result<IterationMatrix, LinalgError>| match got {
             Err(LinalgError::AllocationTooLarge {
                 estimated_bytes,
                 cap_bytes,
@@ -695,10 +749,146 @@ mod tests {
                 assert_eq!(cap_bytes, FORCED_DIA_MAX_BYTES);
             }
             other => panic!("expected AllocationTooLarge, got {other:?}"),
-        }
+        };
+        // `scattered` stores its whole diagonal, so the generator path
+        // counts the same diagonals as the materialized matrix.
+        refused(IterationMatrix::from_generator(
+            &csr,
+            2.0,
+            MatrixFormat::Dia,
+        ));
+        refused(IterationMatrix::try_with_format(csr, MatrixFormat::Dia));
         // In-bounds forcing still works.
-        assert!(IterationMatrix::try_with_format(scattered(257), MatrixFormat::Dia)
-            .unwrap()
-            .is_dia());
+        assert!(
+            IterationMatrix::try_with_format(scattered(257), MatrixFormat::Dia)
+                .unwrap()
+                .is_dia()
+        );
+    }
+
+    /// A raw generator: the off-diagonal `rates` in push order, then the
+    /// `−exit` diagonal of every row with a positive exit sum (absorbing
+    /// rows store no diagonal entry).
+    fn generator(n: usize, rates: &[(usize, usize, f64)]) -> CsrMatrix<f64> {
+        let mut b = TripletBuilder::new(n, n);
+        let mut exit = vec![0.0f64; n];
+        for &(i, j, r) in rates {
+            b.push(i, j, r);
+            exit[i] += r;
+        }
+        for (i, &e) in exit.iter().enumerate() {
+            if e > 0.0 {
+                b.push(i, i, -e);
+            }
+        }
+        b.build()
+    }
+
+    /// Birth–death rates on `n` levels; `hole(i)` zeroes level `i`'s
+    /// up and down rates (the generator then stores nothing there).
+    fn birth_death(n: usize, hole: impl Fn(usize) -> bool) -> Vec<(usize, usize, f64)> {
+        let mut rates = Vec::new();
+        for i in 0..n.saturating_sub(1) {
+            if !hole(i) {
+                rates.push((i, i + 1, 1.5 + (i % 4) as f64 * 0.25));
+                rates.push((i + 1, i, 0.75 + (i % 3) as f64 * 0.5));
+            }
+        }
+        rates
+    }
+
+    /// Storage, offsets, `data` bits and `nnz` of both selections.
+    fn assert_same_storage(a: &IterationMatrix, b: &IterationMatrix, what: &str) {
+        match (a, b) {
+            (IterationMatrix::Dia(x), IterationMatrix::Dia(y)) => {
+                assert_eq!(x.offsets(), y.offsets(), "{what}: offsets");
+                assert_eq!(x.nnz(), y.nnz(), "{what}: nnz");
+                let bits = |d: &DiaMatrix| d.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(x), bits(y), "{what}: data bits");
+            }
+            (IterationMatrix::Csr(x), IterationMatrix::Csr(y)) => {
+                let (bits_x, bits_y) = (x.csr_parts().2, y.csr_parts().2);
+                assert_eq!(x.csr_parts().1, y.csr_parts().1, "{what}: columns");
+                assert!(bits_x
+                    .iter()
+                    .zip(bits_y)
+                    .all(|(u, v)| u.to_bits() == v.to_bits()));
+            }
+            _ => panic!("{what}: {} vs {}", a.format_name(), b.format_name()),
+        }
+    }
+
+    #[test]
+    fn from_generator_matches_converting_the_uniformized_matrix() {
+        // Off-diagonal offsets of a 16-state generator with one rate per
+        // offset, and two more rates on offsets already used: with the
+        // diagonal, 11 offsets over 16 rows against 12 + 16 entries puts
+        // `ndiag·n = 176` exactly on the `4·nnz + 64 = 176` line. Moving
+        // one rate onto a new offset crosses it (192 > 176).
+        let line = [-15isize, -9, -5, -2, -1, 1, 2, 4, 7, 12];
+        let place = |o: isize, i: usize| {
+            let i = if o < 0 {
+                i.max(o.unsigned_abs())
+            } else {
+                i.min(15 - o as usize)
+            };
+            (i, (i as isize + o) as usize, 0.5 + i as f64 * 0.125)
+        };
+        let mut on_line: Vec<_> = line.iter().map(|&o| place(o, 3)).collect();
+        on_line.extend([place(1, 9), place(-1, 9)]);
+        let mut past_line = on_line.clone();
+        past_line[11] = place(-3, 9);
+
+        let cases: Vec<(&str, CsrMatrix<f64>, f64)> = vec![
+            ("n = 1", generator(1, &[]), 1.0),
+            (
+                "absorbing rows",
+                generator(6, &[(0, 1, 2.0), (2, 1, 1.0), (4, 5, 0.5)]),
+                3.0,
+            ),
+            (
+                "zero-rate levels",
+                generator(33, &birth_death(33, |i| i % 3 == 1)),
+                9.0,
+            ),
+            // q equals row 1's exit rate 4.0, whose diagonal uniformizes
+            // to −4·0.25 + 1 = 0.0 exactly, a stored zero.
+            (
+                "zero diagonal",
+                generator(3, &[(0, 1, 1.0), (1, 0, 2.5), (1, 2, 1.5)]),
+                4.0,
+            ),
+            (
+                "banded",
+                {
+                    let mut rates = birth_death(40, |_| false);
+                    rates.extend((0..37).map(|i| (i, i + 3, 0.25)));
+                    generator(40, &rates)
+                },
+                11.0,
+            ),
+            ("on the line", generator(16, &on_line), 16.0),
+            ("past the line", generator(16, &past_line), 16.0),
+        ];
+        for (what, q, rate) in &cases {
+            let q_prime = q.scaled(1.0 / rate).add_scaled_identity(1.0).unwrap();
+            for format in [MatrixFormat::Auto, MatrixFormat::Dia, MatrixFormat::Csr] {
+                let want = IterationMatrix::try_with_format(q_prime.clone(), format).unwrap();
+                let got = IterationMatrix::from_generator(q, *rate, format).unwrap();
+                assert_same_storage(&want, &got, &format!("{what}, {format}"));
+            }
+            let auto = DiaMatrix::from_csr(&q_prime);
+            let got = IterationMatrix::from_generator(q, *rate, MatrixFormat::Auto).unwrap();
+            assert_eq!(auto.is_some(), got.is_dia(), "{what}: Auto decision");
+        }
+        let dia = |i: usize| {
+            IterationMatrix::from_generator(&cases[i].1, cases[i].2, MatrixFormat::Auto).unwrap()
+        };
+        assert!(dia(5).is_dia(), "on the line is profitable");
+        assert!(!dia(6).is_dia(), "past the line is not");
+        match dia(3) {
+            IterationMatrix::Dia(d) => assert_eq!(d.data()[3 + 1].to_bits(), 0.0f64.to_bits()),
+            other => panic!("tridiagonal is DIA, got {other:?}"),
+        }
     }
 }

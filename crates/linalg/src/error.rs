@@ -45,7 +45,7 @@ pub enum LinalgError {
         cap_bytes: u64,
     },
     /// A storage format cannot represent the given matrix (e.g.
-    /// `--format operator` on a model with no recognized structure).
+    /// `--format operator` on a model without a Kronecker descriptor).
     FormatUnsupported {
         /// The requested format.
         format: &'static str,

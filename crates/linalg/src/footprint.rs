@@ -9,13 +9,12 @@
 //! and that is what the memory ledger (`somrm-obs`) budgets against.
 //!
 //! Implementations exist for every iteration-matrix storage
-//! ([`CsrMatrix`], [`DiaMatrix`], [`OperatorMatrix`] via
-//! [`MatVec::footprint_bytes`], and the [`IterationMatrix`] dispatch)
+//! ([`CsrMatrix`], [`DiaMatrix`], `KroneckerSum` in `crate::operator`,
+//! and the [`IterationMatrix`] dispatch)
 //! and for the fused kernel's working set
 //! ([`FusedMomentKernel`](crate::fused::FusedMomentKernel)).
 
 use crate::dia::{DiaMatrix, IterationMatrix};
-use crate::operator::OperatorMatrix;
 use crate::sparse::CsrMatrix;
 
 /// Exact stored bytes of a value's owned heap allocations.
@@ -39,15 +38,6 @@ impl FootprintBytes for DiaMatrix {
     /// (DIA pads every kept diagonal to full length).
     fn footprint_bytes(&self) -> usize {
         size_of_val(self.offsets()) + size_of_val(self.data())
-    }
-}
-
-impl FootprintBytes for OperatorMatrix {
-    /// Delegates to the backend's [`MatVec::footprint_bytes`]
-    /// (`crate::operator::MatVec`): O(n) strips or factor blocks, never
-    /// the materialized matrix.
-    fn footprint_bytes(&self) -> usize {
-        self.as_matvec().footprint_bytes()
     }
 }
 
@@ -89,9 +79,8 @@ mod tests {
             let csr = tridiag(n);
             let nnz = 3 * n - 2;
             assert_eq!(csr.nnz(), nnz);
-            let expected = (n + 1) * size_of::<usize>()
-                + nnz * size_of::<usize>()
-                + nnz * size_of::<f64>();
+            let expected =
+                (n + 1) * size_of::<usize>() + nnz * size_of::<usize>() + nnz * size_of::<f64>();
             assert_eq!(csr.footprint_bytes(), expected);
         }
     }
@@ -110,9 +99,9 @@ mod tests {
     fn iteration_matrix_dispatch_matches_inner_storage() {
         let csr = tridiag(64);
         let csr_bytes = csr.footprint_bytes();
-        let m = IterationMatrix::with_format(csr.clone(), MatrixFormat::Csr);
+        let m = IterationMatrix::try_with_format(csr.clone(), MatrixFormat::Csr).unwrap();
         assert_eq!(m.footprint_bytes(), csr_bytes);
-        let d = IterationMatrix::with_format(csr, MatrixFormat::Dia);
+        let d = IterationMatrix::try_with_format(csr, MatrixFormat::Dia).unwrap();
         assert!(d.is_dia());
         assert_eq!(
             d.footprint_bytes(),
@@ -121,31 +110,36 @@ mod tests {
     }
 
     #[test]
-    fn operator_strips_are_far_below_the_materialized_pipeline_at_2m_states() {
-        // The point of the operator backend: at 2M states the CSR→DIA
-        // pipeline materializes ~(n+1+2nnz) usizes/doubles of CSR plus
-        // 3n doubles of DIA, while the birth-death strips hold 3n−2
-        // doubles total. Compare against the *pipeline* cost (source
-        // CSR + DIA coexist during conversion), not DIA alone.
-        let n = 2_000_001usize;
-        let op =
-            crate::operator::UniformizedBirthDeath::from_rates(n, 4.0, |_| 1.0, |_| 1.5)
-                .expect("valid rates");
-        let op_bytes = crate::operator::MatVec::footprint_bytes(&op);
-        assert_eq!(op_bytes, (3 * n - 2) * size_of::<f64>());
+    fn dia_from_the_generator_is_far_below_the_materialized_pipeline() {
+        // A birth–death generator's DIA strips are built straight from
+        // `Q`: the matrix costs 3n doubles, while converting a
+        // materialized `Q'` holds its CSR (row pointers, column indices,
+        // values) and the DIA strips at once.
+        let n = 20_001usize;
+        let mut b = TripletBuilder::new(n, n);
+        for i in 0..n - 1 {
+            b.push(i, i + 1, 1.0);
+            b.push(i + 1, i, 1.5);
+        }
+        for i in 0..n {
+            b.push(
+                i,
+                i,
+                -(f64::from(u8::from(i + 1 < n)) + 1.5 * f64::from(u8::from(i > 0))),
+            );
+        }
+        let dia = IterationMatrix::from_generator(&b.build(), 4.0, MatrixFormat::Auto).unwrap();
+        assert!(dia.is_dia());
+        let dia_bytes = dia.footprint_bytes();
+        assert_eq!(dia_bytes, 3 * size_of::<isize>() + 3 * n * size_of::<f64>());
 
         let nnz = 3 * n - 2;
         let csr_bytes =
             (n + 1) * size_of::<usize>() + nnz * size_of::<usize>() + nnz * size_of::<f64>();
-        let dia_bytes = 3 * size_of::<isize>() + 3 * n * size_of::<f64>();
-        assert!(
-            op_bytes < dia_bytes && op_bytes < csr_bytes,
-            "operator {op_bytes}B should undercut DIA {dia_bytes}B and CSR {csr_bytes}B"
-        );
         let pipeline_bytes = csr_bytes + dia_bytes;
         assert!(
-            2 * op_bytes <= pipeline_bytes,
-            "operator {op_bytes}B should be well under the {pipeline_bytes}B CSR+DIA pipeline"
+            3 * dia_bytes <= pipeline_bytes,
+            "DIA {dia_bytes}B should be well under the {pipeline_bytes}B CSR+DIA pipeline"
         );
     }
 }

@@ -35,9 +35,9 @@
 //! a single thread. The kernel dispatches over [`IterationMatrix`] once
 //! per pass, so the CSR and DIA backends share every other line of the
 //! pass and inherit the same determinism contract. The matrix-free
-//! operator backend (`crate::operator`) joins the same classes: its
-//! scalar rows use the identical ascending-column `+=` chain (dots are
-//! stored, then combined with the same left-associated expression —
+//! Kronecker-sum operator (`crate::operator`) joins the same classes:
+//! its scalar rows use the identical ascending-column `+=` chain (dots
+//! are stored, then combined with the same left-associated expression —
 //! stores are exact), and its fma rows the identical canonical
 //! `mul_add` chain with the combine applied via [`simd::axpy_fma`].
 //!
@@ -82,7 +82,7 @@
 //! all accumulator updates and all orders' advances consume it.
 
 use crate::dia::{DiaMatrix, IterationMatrix};
-use crate::operator::MatVec;
+use crate::operator::KroneckerSum;
 use crate::pool::{chunk_range, PoolStats, SyncMutPtr, WorkerPool};
 use crate::simd::{self, ResolvedKernel};
 use somrm_num::sum::NeumaierSum;
@@ -97,8 +97,8 @@ enum MatrixParts<'b> {
     Csr(&'b [usize], &'b [usize], &'b [f64]),
     /// `(offsets, flattened diagonal data)`.
     Dia(&'b [isize], &'b [f64]),
-    /// Matrix-free backend; rows computed on the fly.
-    Op(&'b dyn MatVec),
+    /// Matrix-free Kronecker sum; rows computed on the fly.
+    Op(&'b KroneckerSum),
 }
 
 /// How a kernel reaches its worker threads: none (inline), a pool it
@@ -369,7 +369,7 @@ impl<'a> FusedMomentKernel<'a> {
                 MatrixParts::Csr(row_ptr, col_idx, values)
             }
             IterationMatrix::Dia(m) => MatrixParts::Dia(m.offsets(), m.data()),
-            IterationMatrix::Operator(m) => MatrixParts::Op(m.as_matvec()),
+            IterationMatrix::Operator(m) => MatrixParts::Op(m),
         };
         let ctx = PassCtx {
             n,
@@ -782,9 +782,10 @@ const CSR_PREFETCH_MIN_NNZ_PER_ROW: usize = 8;
 /// combine input for orders `j+1`/`j+2`, and the projection dots (when
 /// projections are attached) read the block just written (a projecting chunk
 /// starts on a block multiple, so these blocks are the global ones).
-/// The DIA interior runs 4-wide ([`simd::dot_strips`] +
-/// [`simd::axpy_fma`]); the CSR gather is software-prefetched
-/// [`CSR_PREFETCH_ROWS`] rows ahead.
+/// The DIA interior runs 4-wide ([`simd::dot_strips`], or one fused
+/// three-term row loop on tridiagonal matrices, then [`simd::axpy_fma`]);
+/// the CSR gather is software-prefetched [`CSR_PREFETCH_ROWS`] rows
+/// ahead.
 ///
 /// Dispatch: with AVX2+FMA detected the body runs inside a
 /// `#[target_feature]` wrapper so every `mul_add` in the row loops
@@ -916,12 +917,6 @@ fn simd_chunk_impl(ctx: &PassCtx, range: Range<usize>) {
                             unsafe { *ctx.u_next.add(j * n + i) = v };
                         }
                         if ihi > ilo {
-                            strips.clear();
-                            for (&o, &diag) in dia_offsets.iter().zip(&dia_diags) {
-                                let x_lo = (ilo as isize + o) as usize;
-                                let x_hi = (ihi as isize + o) as usize;
-                                strips.push((&diag[ilo..ihi], &uj[x_lo..x_hi]));
-                            }
                             // SAFETY: chunks write disjoint row ranges.
                             let out = unsafe {
                                 std::slice::from_raw_parts_mut(
@@ -929,7 +924,32 @@ fn simd_chunk_impl(ctx: &PassCtx, range: Range<usize>) {
                                     ihi - ilo,
                                 )
                             };
-                            simd::dot_strips(out, &strips);
+                            if let ([-1, 0, 1], [dm1, d0, dp1]) = (dia_offsets, &dia_diags[..]) {
+                                // The birth–death shape: one fused
+                                // three-term row loop, the canonical
+                                // `mul_add` chain from `0.0` of the CSR
+                                // rows, which the compiler vectorizes.
+                                let (dm1, d0, dp1) =
+                                    (&dm1[ilo..ihi], &d0[ilo..ihi], &dp1[ilo..ihi]);
+                                let um1 = &uj[ilo - 1..ihi - 1];
+                                let u00 = &uj[ilo..ihi];
+                                let up1 = &uj[ilo + 1..ihi + 1];
+                                for idx in 0..out.len() {
+                                    let mut dot = 0.0;
+                                    dot = dm1[idx].mul_add(um1[idx], dot);
+                                    dot = d0[idx].mul_add(u00[idx], dot);
+                                    dot = dp1[idx].mul_add(up1[idx], dot);
+                                    out[idx] = dot;
+                                }
+                            } else {
+                                strips.clear();
+                                for (&o, &diag) in dia_offsets.iter().zip(&dia_diags) {
+                                    let x_lo = (ilo as isize + o) as usize;
+                                    let x_hi = (ihi as isize + o) as usize;
+                                    strips.push((&diag[ilo..ihi], &uj[x_lo..x_hi]));
+                                }
+                                simd::dot_strips(out, &strips);
+                            }
                             if j >= 1 {
                                 let w1 = &u_cur[(j - 1) * n + ilo..(j - 1) * n + ihi];
                                 simd::axpy_fma(out, &ctx.r_prime[ilo..ihi], w1);
@@ -953,8 +973,13 @@ fn simd_chunk_impl(ctx: &PassCtx, range: Range<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::Mat;
     use crate::dia::MatrixFormat;
     use crate::sparse::{CsrMatrix, TripletBuilder};
+
+    fn select(m: &CsrMatrix<f64>, format: MatrixFormat) -> IterationMatrix {
+        IterationMatrix::try_with_format(m.clone(), format).unwrap()
+    }
 
     /// Straightforward single-threaded reference implementing the same
     /// recursion as the pre-fusion solver loop.
@@ -1046,7 +1071,7 @@ mod tests {
         // (forced — the scattered test matrix fails the auto check) at
         // every thread count must reproduce it bit for bit.
         for format in [MatrixFormat::Csr, MatrixFormat::Dia] {
-            let im = IterationMatrix::with_format(m.clone(), format);
+            let im = select(&m, format);
             for threads in [1usize, 2, 4, 8] {
                 let mut fused =
                     FusedMomentKernel::new(&im, &r_prime, &s_half, order, 2, &u0, threads);
@@ -1087,8 +1112,8 @@ mod tests {
             }
         }
         let m = b.build();
-        let csr = IterationMatrix::with_format(m.clone(), MatrixFormat::Csr);
-        let dia = IterationMatrix::auto(m);
+        let csr = select(&m, MatrixFormat::Csr);
+        let dia = select(&m, MatrixFormat::Auto);
         assert!(dia.is_dia(), "tridiagonal must auto-select DIA");
         let r_prime: Vec<f64> = (0..n).map(|i| (i % 7) as f64 / 10.0).collect();
         let s_half: Vec<f64> = (0..n).map(|i| (i % 3) as f64 / 20.0).collect();
@@ -1112,21 +1137,15 @@ mod tests {
     /// Runs 30 steps with the given variant and returns every
     /// accumulated value, flattened. Mixed-sign `r'` exercises the
     /// negative-intermediate paths of the canonical-FMA chain.
-    fn run_variant(
-        m: &CsrMatrix<f64>,
-        format: MatrixFormat,
-        threads: usize,
-        variant: ResolvedKernel,
-    ) -> Vec<f64> {
-        let n = m.rows();
+    fn run_variant(im: &IterationMatrix, threads: usize, variant: ResolvedKernel) -> Vec<f64> {
+        let n = im.rows();
         let order = 3;
         let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0 - 0.4).collect();
         let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
         let u0 = vec![1.0; n];
         let active0 = [(0usize, 0.25f64), (1, 0.5)];
         let active1 = [(1usize, 0.125f64)];
-        let im = IterationMatrix::with_format(m.clone(), format);
-        let mut k = FusedMomentKernel::new(&im, &r_prime, &s_half, order, 2, &u0, threads);
+        let mut k = FusedMomentKernel::new(im, &r_prime, &s_half, order, 2, &u0, threads);
         k.set_variant(variant);
         assert_eq!(k.variant(), variant);
         for step in 0..30 {
@@ -1143,8 +1162,7 @@ mod tests {
     }
 
     /// Fully-populated tridiagonal matrix (no structural zeros), the
-    /// shape the operator backend shares with CSR bitwise for inputs of
-    /// any sign.
+    /// shape DIA shares with CSR bitwise for inputs of any sign.
     fn tridiag_matrix(n: usize) -> CsrMatrix<f64> {
         let mut b = TripletBuilder::with_capacity(n, n, 3 * n);
         for i in 0..n {
@@ -1159,36 +1177,57 @@ mod tests {
         b.build()
     }
 
-    #[test]
-    fn operator_kernel_bitwise_matches_csr_kernel_scalar() {
-        let n = 131;
-        let m = tridiag_matrix(n);
-        for threads in [1usize, 2, 4, 8] {
-            let a = run_variant(&m, MatrixFormat::Csr, threads, ResolvedKernel::Scalar);
-            let b = run_variant(&m, MatrixFormat::Operator, threads, ResolvedKernel::Scalar);
-            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "scalar operator x{threads} diverged at {i}: {x} vs {y}"
-                );
+    /// A Kronecker sum of five small, mostly tridiagonal factors (5,145
+    /// states: two full projection row blocks and a partial one) as the
+    /// CSR matrix it stands for and as the matrix-free operator.
+    fn kronecker_pair() -> (IterationMatrix, IterationMatrix) {
+        let factors: Vec<Mat<f64>> = [3usize, 5, 7, 7, 7]
+            .iter()
+            .enumerate()
+            .map(|(k, &size)| {
+                let mut f = Mat::zeros(size, size);
+                for i in 0..size {
+                    for j in 0..size {
+                        if i.abs_diff(j) == 1 || (i + j + k) % 7 == 0 && i != j {
+                            f[(i, j)] = 0.1 + ((i * 7 + j * 3 + k) % 5) as f64 * 0.05;
+                        }
+                    }
+                }
+                f
+            })
+            .collect();
+        let rate = 12.0;
+        let op = crate::operator::KroneckerSum::new(factors, rate).unwrap();
+        let n = op.rows();
+        let mut b = TripletBuilder::new(n, n);
+        let mut exit = vec![0.0f64; n];
+        for (i, j, a) in op.generator_triplets() {
+            b.push(i, j, a);
+            exit[i] += a;
+        }
+        for (i, &e) in exit.iter().enumerate() {
+            if e > 0.0 {
+                b.push(i, i, -e);
             }
         }
+        let csr = IterationMatrix::from_generator(&b.build(), rate, MatrixFormat::Csr).unwrap();
+        (csr, IterationMatrix::Operator(op))
     }
 
     #[test]
-    fn operator_kernel_bitwise_matches_csr_kernel_simd() {
-        let n = 131;
-        let m = tridiag_matrix(n);
-        let baseline = run_variant(&m, MatrixFormat::Csr, 1, ResolvedKernel::Simd);
-        for threads in [1usize, 2, 4, 8] {
-            let got = run_variant(&m, MatrixFormat::Operator, threads, ResolvedKernel::Simd);
-            for (i, (x, y)) in baseline.iter().zip(&got).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "simd operator x{threads} diverged at {i}: {x} vs {y}"
-                );
+    fn operator_kernel_bitwise_matches_csr_kernel() {
+        let (csr, op) = kronecker_pair();
+        for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
+            let baseline = run_variant(&csr, 1, variant);
+            for threads in [1usize, 2, 4, 8] {
+                let got = run_variant(&op, threads, variant);
+                for (i, (x, y)) in baseline.iter().zip(&got).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{variant:?} operator x{threads} diverged at {i}: {x} vs {y}"
+                    );
+                }
             }
         }
     }
@@ -1199,10 +1238,10 @@ mod tests {
         // determinism class: CSR vs (forced) DIA, every thread count,
         // vector lanes vs remainder rows — all bit-identical.
         let m = test_matrix(257);
-        let baseline = run_variant(&m, MatrixFormat::Csr, 1, ResolvedKernel::Simd);
+        let baseline = run_variant(&select(&m, MatrixFormat::Csr), 1, ResolvedKernel::Simd);
         for format in [MatrixFormat::Csr, MatrixFormat::Dia] {
             for threads in [1usize, 2, 4, 8] {
-                let got = run_variant(&m, format, threads, ResolvedKernel::Simd);
+                let got = run_variant(&select(&m, format), threads, ResolvedKernel::Simd);
                 assert_eq!(baseline.len(), got.len());
                 for (i, (a, b)) in baseline.iter().zip(&got).enumerate() {
                     assert_eq!(
@@ -1220,8 +1259,9 @@ mod tests {
         // Scalar vs simd differ only by rounding reassociation: a few
         // ulps per step, nowhere near the solver's truncation bounds.
         let m = test_matrix(257);
-        let scalar = run_variant(&m, MatrixFormat::Csr, 1, ResolvedKernel::Scalar);
-        let simd = run_variant(&m, MatrixFormat::Csr, 1, ResolvedKernel::Simd);
+        let csr = select(&m, MatrixFormat::Csr);
+        let scalar = run_variant(&csr, 1, ResolvedKernel::Scalar);
+        let simd = run_variant(&csr, 1, ResolvedKernel::Simd);
         let scale = scalar.iter().fold(1.0f64, |a, &v| a.max(v.abs()));
         for (i, (a, b)) in scalar.iter().zip(&simd).enumerate() {
             assert!(
@@ -1249,19 +1289,17 @@ mod tests {
     /// against a naive dot of the current iterate), and the final
     /// accumulators.
     fn run_projected(
-        m: &CsrMatrix<f64>,
-        format: MatrixFormat,
+        im: &IterationMatrix,
         threads: usize,
         variant: ResolvedKernel,
         pis: &[&[f64]],
     ) -> (Vec<Vec<f64>>, Vec<f64>) {
-        let n = m.rows();
+        let n = im.rows();
         let order = 3;
         let r_prime: Vec<f64> = (0..n).map(|i| (i % 9) as f64 / 10.0).collect();
         let s_half: Vec<f64> = (0..n).map(|i| (i % 4) as f64 / 20.0).collect();
         let u0 = vec![1.0; n];
-        let im = IterationMatrix::with_format(m.clone(), format);
-        let mut k = FusedMomentKernel::new(&im, &r_prime, &s_half, order, 1, &u0, threads);
+        let mut k = FusedMomentKernel::new(im, &r_prime, &s_half, order, 1, &u0, threads);
         k.set_variant(variant);
         if !pis.is_empty() {
             k.set_projections(pis);
@@ -1298,32 +1336,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn projection_bitwise_across_formats_and_threads() {
+    /// Each matrix as CSR (the baseline) and in its other storages: the
+    /// tridiagonal one as DIA, the Kronecker sum as the operator.
+    fn projection_cases() -> Vec<(IterationMatrix, Vec<IterationMatrix>)> {
         // Six row blocks, the last one partial: chunks of 2, 4 and 8
         // threads split them differently, and 8 threads leaves chunks
-        // idle. Within each variant every format and thread count must
-        // give the same bits, and attaching π must not move the
-        // accumulators.
-        let n = 5 * SIMD_BLOCK + 37;
-        let m = tridiag_matrix(n);
-        let [pi, _] = test_pis(n);
-        for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
-            let (base_proj, base_acc) = run_projected(&m, MatrixFormat::Csr, 1, variant, &[&pi]);
-            let (_, plain) = run_projected(&m, MatrixFormat::Csr, 3, variant, &[]);
-            assert_eq!(
-                base_acc, plain,
-                "{variant:?}: projection perturbed accumulators"
-            );
-            for format in [MatrixFormat::Csr, MatrixFormat::Dia, MatrixFormat::Operator] {
-                for threads in [1usize, 2, 4, 8] {
-                    let (proj, acc) = run_projected(&m, format, threads, variant, &[&pi]);
-                    let what = format!("{variant:?} {format} x{threads}");
-                    assert_bits(&base_proj[0], &proj[0], &what);
-                    assert_eq!(
-                        base_acc, acc,
-                        "{variant:?} {format} x{threads}: accumulators"
-                    );
+        // idle.
+        let m = tridiag_matrix(5 * SIMD_BLOCK + 37);
+        let (kron_csr, op) = kronecker_pair();
+        vec![
+            (
+                select(&m, MatrixFormat::Csr),
+                vec![select(&m, MatrixFormat::Dia)],
+            ),
+            (kron_csr, vec![op]),
+        ]
+    }
+
+    #[test]
+    fn projection_bitwise_across_formats_and_threads() {
+        // Within each variant every storage and thread count must give
+        // the same bits, and attaching π must not move the accumulators.
+        for (csr, others) in projection_cases() {
+            let n = csr.rows();
+            let [pi, _] = test_pis(n);
+            for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
+                let (base_proj, base_acc) = run_projected(&csr, 1, variant, &[&pi]);
+                let (_, plain) = run_projected(&csr, 3, variant, &[]);
+                assert_eq!(
+                    base_acc, plain,
+                    "{variant:?}: projection perturbed accumulators"
+                );
+                for im in std::iter::once(&csr).chain(&others) {
+                    for threads in [1usize, 2, 4, 8] {
+                        let (proj, acc) = run_projected(im, threads, variant, &[&pi]);
+                        let what = format!("{variant:?} {} x{threads}", im.format_name());
+                        assert_bits(&base_proj[0], &proj[0], &what);
+                        assert_eq!(base_acc, acc, "{what}: accumulators");
+                    }
                 }
             }
         }
@@ -1332,20 +1382,20 @@ mod tests {
     #[test]
     fn k_projections_match_k_single_projection_runs_bitwise() {
         // Two π ride one sweep: each one's c_k sequence must carry the
-        // bits of a kernel projecting that π alone, on every format and
+        // bits of a kernel projecting that π alone, on every storage and
         // thread count, in each variant.
-        let n = 5 * SIMD_BLOCK + 37;
-        let m = tridiag_matrix(n);
-        let [pa, pb] = test_pis(n);
-        for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
-            let (single_a, _) = run_projected(&m, MatrixFormat::Csr, 1, variant, &[&pa]);
-            let (single_b, _) = run_projected(&m, MatrixFormat::Csr, 1, variant, &[&pb]);
-            for format in [MatrixFormat::Csr, MatrixFormat::Dia, MatrixFormat::Operator] {
-                for threads in [1usize, 2, 4, 8] {
-                    let (both, _) = run_projected(&m, format, threads, variant, &[&pa, &pb]);
-                    let what = format!("{variant:?} {format} x{threads}");
-                    assert_bits(&single_a[0], &both[0], &format!("{what} π_a"));
-                    assert_bits(&single_b[0], &both[1], &format!("{what} π_b"));
+        for (csr, others) in projection_cases() {
+            let [pa, pb] = test_pis(csr.rows());
+            for variant in [ResolvedKernel::Scalar, ResolvedKernel::Simd] {
+                let (single_a, _) = run_projected(&csr, 1, variant, &[&pa]);
+                let (single_b, _) = run_projected(&csr, 1, variant, &[&pb]);
+                for im in std::iter::once(&csr).chain(&others) {
+                    for threads in [1usize, 2, 4, 8] {
+                        let (both, _) = run_projected(im, threads, variant, &[&pa, &pb]);
+                        let what = format!("{variant:?} {} x{threads}", im.format_name());
+                        assert_bits(&single_a[0], &both[0], &format!("{what} π_a"));
+                        assert_bits(&single_b[0], &both[1], &format!("{what} π_b"));
+                    }
                 }
             }
         }
@@ -1373,7 +1423,7 @@ mod tests {
     fn projecting_footprint_counts_the_block_partials() {
         use crate::footprint::FootprintBytes;
         let n = 2 * SIMD_BLOCK + 1;
-        let im = IterationMatrix::with_format(tridiag_matrix(n), MatrixFormat::Csr);
+        let im = select(&tridiag_matrix(n), MatrixFormat::Csr);
         let zeros = vec![0.0; n];
         let u0 = vec![1.0; n];
         let mut k = FusedMomentKernel::new(&im, &zeros, &zeros, 2, 0, &u0, 1);
@@ -1389,7 +1439,7 @@ mod tests {
     fn order_zero_and_empty_active_work() {
         let n = 16;
         let m = test_matrix(n);
-        let im = IterationMatrix::with_format(m.clone(), MatrixFormat::Csr);
+        let im = select(&m, MatrixFormat::Csr);
         let zeros = vec![0.0; n];
         let u0 = vec![1.0; n];
         let mut k = FusedMomentKernel::new(&im, &zeros, &zeros, 0, 1, &u0, 2);
@@ -1407,7 +1457,7 @@ mod tests {
         use std::sync::Arc;
 
         let n = 64;
-        let im = IterationMatrix::with_format(test_matrix(n), MatrixFormat::Csr);
+        let im = select(&test_matrix(n), MatrixFormat::Csr);
         let zeros = vec![0.0; n];
         let u0 = vec![1.0; n];
         let mut k = FusedMomentKernel::new(&im, &zeros, &zeros, 1, 1, &u0, 2);
@@ -1433,7 +1483,7 @@ mod tests {
         use std::sync::Arc;
 
         let n = 64;
-        let im = IterationMatrix::with_format(test_matrix(n), MatrixFormat::Csr);
+        let im = select(&test_matrix(n), MatrixFormat::Csr);
         let zeros = vec![0.0; n];
         let u0 = vec![1.0; n];
         let mut k = FusedMomentKernel::new(&im, &zeros, &zeros, 1, 1, &u0, 2);
@@ -1465,7 +1515,7 @@ mod tests {
     fn u_order_exposes_the_current_iterate() {
         let n = 16;
         let m = test_matrix(n);
-        let im = IterationMatrix::with_format(m.clone(), MatrixFormat::Csr);
+        let im = select(&m, MatrixFormat::Csr);
         let zeros = vec![0.0; n];
         let u0 = vec![1.0; n];
         let mut k = FusedMomentKernel::new(&im, &zeros, &zeros, 0, 1, &u0, 1);
@@ -1480,7 +1530,7 @@ mod tests {
     fn more_threads_than_rows_is_fine() {
         let n = 3;
         let m = test_matrix(n);
-        let im = IterationMatrix::with_format(m.clone(), MatrixFormat::Csr);
+        let im = select(&m, MatrixFormat::Csr);
         let zeros = vec![0.0; n];
         let u0 = vec![1.0; n];
         let mut k = FusedMomentKernel::new(&im, &zeros, &zeros, 1, 1, &u0, 64);

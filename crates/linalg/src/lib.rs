@@ -11,13 +11,14 @@
 //! * [`sparse`] — CSR sparse matrices with a triplet builder; the
 //!   randomization solver's inner loop is one sparse mat-vec per step;
 //! * [`dia`] — diagonal (DIA) storage for banded matrices with a
-//!   branch-free unit-stride kernel, a CSR→DIA bandwidth detector, and
-//!   the [`dia::IterationMatrix`] dispatch the solvers select once per
-//!   solve (the paper's 200,001-state model is tridiagonal);
-//! * [`operator`] — matrix-free backends ([`operator::MatVec`]) that
-//!   compute the uniformized mat-vec on the fly from model structure
-//!   (birth–death strips, Kronecker sums of small factors) with O(1)
-//!   matrix memory per state, bitwise-faithful to the CSR pipeline;
+//!   branch-free unit-stride kernel, built from a CSR matrix or straight
+//!   from a raw generator, and the [`dia::IterationMatrix`] dispatch the
+//!   solvers select once per solve (the paper's multiplexer is a
+//!   birth–death chain, so its uniformized matrix is tridiagonal);
+//! * [`operator`] — the matrix-free [`operator::KroneckerSum`] backend,
+//!   which computes the uniformized mat-vec of a Kronecker-sum generator
+//!   on the fly from its small factors with O(1) matrix memory per state
+//!   beyond one diagonal, bitwise-faithful to the CSR pipeline;
 //! * [`footprint`] — exact owned-bytes accounting
 //!   ([`footprint::FootprintBytes`]) for every matrix storage and the
 //!   fused kernel's working set, feeding the `somrm-obs` memory ledger;
@@ -72,9 +73,7 @@ pub use dia::{DiaMatrix, IterationMatrix, MatrixFormat, FORCED_DIA_MAX_BYTES};
 pub use error::LinalgError;
 pub use footprint::FootprintBytes;
 pub use fused::FusedMomentKernel;
-pub use operator::{
-    KroneckerSum, MatVec, ModelStructure, OperatorMatrix, UniformizedBirthDeath,
-};
+pub use operator::{KroneckerSum, ModelStructure, OperatorMatrix};
 pub use pool::{PoolStats, WorkerPool};
 pub use scalar::{Cx, Scalar};
 pub use simd::{KernelVariant, ResolvedKernel};

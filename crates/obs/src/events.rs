@@ -1,6 +1,6 @@
 //! Streamed solve event log (`somrm-events-v1`): typed JSONL records.
 //!
-//! Long solves (the 2M-state operator runs take over a minute) need a
+//! Long solves (the 2M-state runs take over a minute) need a
 //! machine-readable heartbeat. An [`EventLogRecorder`] tees one JSON object per line to any
 //! number of sinks (a file for `--events-out PATH`, stderr for
 //! `--progress-json`), and the solver emits a fixed vocabulary of

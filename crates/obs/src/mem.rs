@@ -29,7 +29,7 @@ pub enum MemCategory {
     MatrixCsr,
     /// DIA iteration-matrix storage (offsets + padded diagonals).
     MatrixDia,
-    /// Matrix-free operator state (strips / factor blocks + diagonal).
+    /// Matrix-free Kronecker operator state (factor blocks + diagonal).
     MatrixOperator,
     /// Fused-kernel working set: `U` ping-pong pair + accumulators.
     KernelBuffers,
